@@ -130,6 +130,46 @@ impl FrontEndConfig {
     }
 }
 
+/// The closed-form comparator law of one front-end instance — its drawn
+/// static offset and effective sigma — from [`FrontEnd::trip_model`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TripModel {
+    offset: f64,
+    sigma: f64,
+}
+
+impl TripModel {
+    /// The drawn static comparator offset (volts).
+    pub fn offset(&self) -> f64 {
+        self.offset
+    }
+
+    /// The effective comparator sigma, EMI folded in (volts).
+    pub fn sigma(&self) -> f64 {
+        self.sigma
+    }
+
+    /// Closed-form probability that one trigger at detector voltage
+    /// `detector` trips against PDM reference `level`:
+    /// `Φ((detector + offset − level)/σ_eff)`.
+    ///
+    /// `detector` is the *coupler output* — callers apply
+    /// [`Coupler::detect`](crate::coupler::Coupler::detect) to the raw
+    /// waves first, exactly as [`FrontEnd::observe`] does internally.
+    /// Ties go low at zero sigma, matching the trial comparator.
+    #[inline]
+    pub fn probability(&self, detector: f64, level: f64) -> f64 {
+        let margin = detector + self.offset - level;
+        if self.sigma > 0.0 {
+            divot_dsp::gaussian::std_cdf(margin / self.sigma)
+        } else if margin > 0.0 {
+            1.0
+        } else {
+            0.0
+        }
+    }
+}
+
 /// A live front-end instance bound to one bus channel.
 #[derive(Debug, Clone)]
 pub struct FrontEnd {
@@ -231,25 +271,16 @@ impl FrontEnd {
         self.comparator.hysteresis() == 0.0
     }
 
-    /// Closed-form probability that one trigger at detector voltage
-    /// `detector` trips against PDM reference `level`:
-    /// `Φ((detector + offset − level)/σ_eff)` with the EMI aggressor folded
-    /// into the effective sigma ([`FrontEndConfig::effective_sigma`]).
+    /// This instance's closed-form trip law: the drawn comparator offset
+    /// and the effective sigma ([`FrontEndConfig::effective_sigma`], one
+    /// `sqrt`), evaluated once so callers sweeping many
+    /// `(detector, level)` pairs pay for neither per probability.
     ///
-    /// `detector` is the *coupler output* — callers apply
-    /// [`Coupler::detect`](crate::coupler::Coupler::detect) to the raw
-    /// waves first, exactly as [`observe`](Self::observe) does internally.
-    /// Only valid when [`supports_analytic`](Self::supports_analytic);
-    /// ties go low at zero sigma, matching the trial comparator.
-    pub fn trip_probability(&self, detector: f64, level: f64) -> f64 {
-        let sigma = self.config.effective_sigma();
-        let margin = detector + self.comparator.offset() - level;
-        if sigma > 0.0 {
-            divot_dsp::gaussian::std_cdf(margin / sigma)
-        } else if margin > 0.0 {
-            1.0
-        } else {
-            0.0
+    /// Only valid when [`supports_analytic`](Self::supports_analytic).
+    pub fn trip_model(&self) -> TripModel {
+        TripModel {
+            offset: self.comparator.offset(),
+            sigma: self.config.effective_sigma(),
         }
     }
 
@@ -453,7 +484,7 @@ mod tests {
                 }
             }
             let trial = hits as f64 / n as f64;
-            let analytic = fe.trip_probability(detector, level);
+            let analytic = fe.trip_model().probability(detector, level);
             assert!(
                 (trial - analytic).abs() < 0.015,
                 "emi={:?}: trial {trial} vs analytic {analytic}",

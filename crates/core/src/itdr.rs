@@ -22,9 +22,10 @@ use crate::channel::{BusChannel, MeasurementContext};
 use crate::ets::EtsSchedule;
 use crate::exec::ExecPolicy;
 use crate::fingerprint::Fingerprint;
+use divot_analog::frontend::TripModel;
 use divot_dsp::filter::moving_average;
 use divot_dsp::quadrature::GaussHermite;
-use divot_dsp::rng::{mix_seed, DivotRng};
+use divot_dsp::rng::{mix_seed, DivotRng, PreparedBinomial};
 use divot_dsp::waveform::Waveform;
 use divot_telemetry::{Counter, Value};
 use divot_txline::units::Seconds;
@@ -277,9 +278,74 @@ struct PointLaw {
     /// Distinct levels in the saturated tails (telemetry parity with
     /// the full linear sweep).
     saturated: u64,
-    /// `(trigger count, trip probability)` of each non-saturated level,
-    /// in schedule order — the order the binomial stream is consumed in.
-    window: Vec<(u32, f64)>,
+    /// The prepared `Binomial(trigger count, trip probability)` of each
+    /// non-saturated level, in schedule order — the order the binomial
+    /// stream is consumed in. Preparing the sampler here runs its
+    /// seed-independent setup once per point instead of once per draw.
+    window: Vec<PreparedBinomial>,
+}
+
+/// The jitter-quadrature view of one ETS point: the coupler output at
+/// each Gauss–Hermite abscissa of the sampling-instant jitter, the
+/// extremes the saturation tests bracket against, and the front end's
+/// trip law — everything the point's per-level trip probabilities read,
+/// evaluated once per point rather than once per level.
+struct PointNodes {
+    detectors: [f64; JITTER_QUAD_ORDER],
+    lo: f64,
+    hi: f64,
+    trip: TripModel,
+}
+
+impl PointNodes {
+    fn new(ctx: &MeasurementContext, quad: &GaussHermite, t_nominal: f64) -> Self {
+        debug_assert_eq!(quad.order(), JITTER_QUAD_ORDER);
+        let coupler = ctx.frontend.config().coupler;
+        let mut detectors = [0.0f64; JITTER_QUAD_ORDER];
+        for (d, t) in detectors
+            .iter_mut()
+            .zip(quad.abscissas(t_nominal, ctx.jitter_rms))
+        {
+            *d = coupler.detect(ctx.response.sample_at(t), ctx.forward.at(t));
+        }
+        let (lo, hi) = detectors
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &d| {
+                (lo.min(d), hi.max(d))
+            });
+        Self {
+            detectors,
+            lo,
+            hi,
+            trip: ctx.frontend.trip_model(),
+        }
+    }
+
+    /// Whether every trigger at `level` trips to within the guard band
+    /// (`p = 1`): non-increasing in the level.
+    fn saturates_at_one(&self, level: f64) -> bool {
+        let sigma = self.trip.sigma();
+        sigma > 0.0 && (self.lo + self.trip.offset()) - level >= SATURATION_SIGMAS * sigma
+    }
+
+    /// Whether no trigger at `level` trips to within the guard band
+    /// (`p = 0`): non-decreasing in the level.
+    fn saturates_at_zero(&self, level: f64) -> bool {
+        let sigma = self.trip.sigma();
+        sigma > 0.0 && level - (self.hi + self.trip.offset()) >= SATURATION_SIGMAS * sigma
+    }
+
+    /// The jitter-averaged trip probability of one trigger at `level`.
+    fn trip_probability(&self, quad: &GaussHermite, level: f64) -> f64 {
+        // Weighted quadrature sum; clamp the last few ULPs of round-off
+        // so the binomial's domain check never trips.
+        self.detectors
+            .iter()
+            .zip(quad.weights())
+            .map(|(&d, &w)| w * self.trip.probability(d, level))
+            .sum::<f64>()
+            .clamp(0.0, 1.0)
+    }
 }
 
 /// The iTDR instrument.
@@ -360,43 +426,19 @@ impl Itdr {
         tel: Option<&AcqTelemetry>,
         n: usize,
     ) -> f64 {
-        debug_assert_eq!(quad.order(), JITTER_QUAD_ORDER);
         let mut rng = DivotRng::derive(ctx.seed, ANALYTIC_DOMAIN ^ n as u64);
-        let t_nominal = self.config.ets.time_of(n);
-        let coupler = ctx.frontend.config().coupler;
-        let mut detectors = [0.0f64; JITTER_QUAD_ORDER];
-        for (d, t) in detectors
-            .iter_mut()
-            .zip(quad.abscissas(t_nominal, ctx.jitter_rms))
-        {
-            *d = coupler.detect(ctx.response.sample_at(t), ctx.forward.at(t));
-        }
-        let offset = ctx.frontend.comparator_offset();
-        let sigma = ctx.frontend.config().effective_sigma();
-        let (lo, hi) = detectors
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &d| {
-                (lo.min(d), hi.max(d))
-            });
-        let guard = SATURATION_SIGMAS * sigma;
+        let nodes = PointNodes::new(ctx, quad, self.config.ets.time_of(n));
         let mut counter = TripCounter::new();
         let mut saturated = 0u64;
         for &(level, count) in schedule {
-            let p = if sigma > 0.0 && level - (hi + offset) >= guard {
+            let p = if nodes.saturates_at_zero(level) {
                 saturated += 1;
                 0.0
-            } else if sigma > 0.0 && (lo + offset) - level >= guard {
+            } else if nodes.saturates_at_one(level) {
                 saturated += 1;
                 1.0
             } else {
-                // Weighted quadrature sum; clamp the last few ULPs of
-                // round-off so the binomial's domain check never trips.
-                detectors
-                    .iter()
-                    .zip(quad.weights())
-                    .map(|(&d, &w)| w * ctx.frontend.trip_probability(d, level))
-                    .sum::<f64>()
-                    .clamp(0.0, 1.0)
+                nodes.trip_probability(quad, level)
             };
             counter.record_many(rng.binomial(u64::from(count), p) as u32, count);
         }
@@ -419,40 +461,22 @@ impl Itdr {
     /// (the `p = 0` predicate) is non-decreasing, so those levels are
     /// exactly a suffix. The two cannot overlap: a level in both would
     /// force `lo - hi >= 2·guard > 0`, impossible for a min/max pair.
-    /// The predicates are verbatim the full sweep's, so the window edges
-    /// agree with it bitwise (debug-asserted below).
+    /// The predicates are the full sweep's own ([`PointNodes`]), so the
+    /// window edges agree with it bitwise (debug-asserted below).
     ///
     /// The law depends only on the context's frozen environment (the
     /// response, forward wave, and comparator draw) — not on `ctx.seed` —
     /// which is what makes it shareable across the measurements of one
     /// call.
     fn point_law(&self, ctx: &MeasurementContext, plan: &AnalyticPlan, n: usize) -> PointLaw {
-        let t_nominal = self.config.ets.time_of(n);
-        let coupler = ctx.frontend.config().coupler;
-        let mut detectors = [0.0f64; JITTER_QUAD_ORDER];
-        for (d, t) in detectors
-            .iter_mut()
-            .zip(plan.quad.abscissas(t_nominal, ctx.jitter_rms))
-        {
-            *d = coupler.detect(ctx.response.sample_at(t), ctx.forward.at(t));
-        }
-        let offset = ctx.frontend.comparator_offset();
-        let sigma = ctx.frontend.config().effective_sigma();
-        let (lo, hi) = detectors
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &d| {
-                (lo.min(d), hi.max(d))
-            });
-        let guard = SATURATION_SIGMAS * sigma;
+        let nodes = PointNodes::new(ctx, &plan.quad, self.config.ets.time_of(n));
         let len = plan.levels_asc.len();
-        let (k1, k0) = if sigma > 0.0 {
+        let (k1, k0) = if nodes.trip.sigma() > 0.0 {
             (
                 plan.levels_asc
-                    .partition_point(|&level| (lo + offset) - level >= guard),
-                // `< guard` is the exact complement of the full sweep's
-                // `>= guard` (all quantities are finite here).
+                    .partition_point(|&level| nodes.saturates_at_one(level)),
                 plan.levels_asc
-                    .partition_point(|&level| level - (hi + offset) < guard),
+                    .partition_point(|&level| !nodes.saturates_at_zero(level)),
             )
         } else {
             (0, len)
@@ -463,12 +487,12 @@ impl Itdr {
             let r = plan.rank[i] as usize;
             debug_assert_eq!(
                 r < k1,
-                sigma > 0.0 && (lo + offset) - level >= guard,
+                nodes.saturates_at_one(level),
                 "bracketed p=1 window edge disagrees with the full sweep at level {level}"
             );
             debug_assert_eq!(
                 r >= k0,
-                sigma > 0.0 && level - (hi + offset) >= guard,
+                nodes.saturates_at_zero(level),
                 "bracketed p=0 window edge disagrees with the full sweep at level {level}"
             );
         }
@@ -478,15 +502,8 @@ impl Itdr {
             if r < k1 || r >= k0 {
                 continue;
             }
-            // Weighted quadrature sum; clamp the last few ULPs of
-            // round-off so the binomial's domain check never trips.
-            let p = detectors
-                .iter()
-                .zip(plan.quad.weights())
-                .map(|(&d, &w)| w * ctx.frontend.trip_probability(d, level))
-                .sum::<f64>()
-                .clamp(0.0, 1.0);
-            window.push((count, p));
+            let p = nodes.trip_probability(&plan.quad, level);
+            window.push(PreparedBinomial::new(u64::from(count), p));
         }
         PointLaw {
             sat_one: plan.prefix[k1],
@@ -517,8 +534,9 @@ impl Itdr {
         let mut counter = TripCounter::new();
         counter.record_many(law.sat_one, law.sat_one);
         counter.record_many(0, law.sat_zero);
-        for &(count, p) in &law.window {
-            counter.record_many(rng.binomial(u64::from(count), p) as u32, count);
+        for binomial in &law.window {
+            let count = binomial.trials() as u32;
+            counter.record_many(rng.binomial_prepared(binomial) as u32, count);
         }
         if let Some(tel) = tel {
             tel.analytic_points.inc();

@@ -14,6 +14,8 @@
 // them to representable digits would obscure their provenance.
 #![allow(clippy::excessive_precision)]
 
+use std::sync::LazyLock;
+
 /// Coefficients for |x| <= 0.46875 (Cody region 1).
 const ERF_P: [f64; 5] = [
     3.209377589138469472562e3,
@@ -85,26 +87,46 @@ fn erf_small(x: f64) -> f64 {
     x * (num + ERF_P[0]) / (den + ERF_Q[0])
 }
 
-fn erfc_mid(ax: f64) -> f64 {
-    // Region 2: erfc(ax) for 0.46875 < ax <= 4.0.
+/// Arguments at or beyond this underflow `erfc` to zero (Cody region 3).
+const ERFC_CUTOFF: f64 = 26.7;
+
+/// Number of sixteenths `k = ⌊16·|x|⌋` below [`ERFC_CUTOFF`]: `0..=427`.
+const COARSE_STEPS: usize = 428;
+
+/// `exp(−(k/16)²)` for every coarse step `k` of the split exponential,
+/// evaluated with exactly the `exp` call the split would otherwise make
+/// per argument, so a lookup is bitwise identical to recomputing it.
+static COARSE_EXP: LazyLock<[f64; COARSE_STEPS]> = LazyLock::new(|| {
+    std::array::from_fn(|k| {
+        let xsq = k as f64 / 16.0;
+        (-xsq * xsq).exp()
+    })
+});
+
+/// `exp(−ax²)` for `0 < ax < 26.7` with Cody's split trick for accuracy:
+/// `ax² = xsq² + del` with `xsq` truncated to sixteenths, so the large
+/// factor `exp(−xsq²)` is exact-argument (and tabulated) and only the
+/// small remainder `exp(−del)` is evaluated per call.
+fn exp_neg_square(ax: f64) -> f64 {
+    let k = (ax * 16.0).trunc();
+    let xsq = k / 16.0;
+    let del = (ax - xsq) * (ax + xsq);
+    COARSE_EXP[k as usize] * (-del).exp()
+}
+
+fn erfc_mid_ratio(ax: f64) -> f64 {
+    // Region 2: erfc(ax)·exp(ax²) for 0.46875 < ax <= 4.0.
     let mut num = ERFC_P[8] * ax;
     let mut den = ax;
     for i in (1..8).rev() {
         num = (num + ERFC_P[i]) * ax;
         den = (den + ERFC_Q[i]) * ax;
     }
-    let r = (num + ERFC_P[0]) / (den + ERFC_Q[0]);
-    // exp(-x^2) computed with the split trick for accuracy.
-    let xsq = (ax * 16.0).trunc() / 16.0;
-    let del = (ax - xsq) * (ax + xsq);
-    (-xsq * xsq).exp() * (-del).exp() * r
+    (num + ERFC_P[0]) / (den + ERFC_Q[0])
 }
 
-fn erfc_large(ax: f64) -> f64 {
-    // Region 3: asymptotic expansion for ax > 4.0.
-    if ax >= 26.7 {
-        return 0.0; // underflows double precision
-    }
+fn erfc_large_ratio(ax: f64) -> f64 {
+    // Region 3: asymptotic expansion of erfc(ax)·exp(ax²) for ax > 4.0.
     let z = 1.0 / (ax * ax);
     let mut num = ERFC_R[5] * z;
     let mut den = z;
@@ -113,10 +135,7 @@ fn erfc_large(ax: f64) -> f64 {
         den = (den + ERFC_S[i]) * z;
     }
     let r = z * (num + ERFC_R[0]) / (den + ERFC_S[0]);
-    let r = (ONE_OVER_SQRT_PI + r) / ax;
-    let xsq = (ax * 16.0).trunc() / 16.0;
-    let del = (ax - xsq) * (ax + xsq);
-    (-xsq * xsq).exp() * (-del).exp() * r
+    (ONE_OVER_SQRT_PI + r) / ax
 }
 
 /// The error function `erf(x) = 2/√π ∫₀ˣ e^(−t²) dt`.
@@ -163,9 +182,11 @@ pub fn erfc(x: f64) -> f64 {
     let v = if ax <= 0.46875 {
         return 1.0 - erf_small(x);
     } else if ax <= 4.0 {
-        erfc_mid(ax)
+        exp_neg_square(ax) * erfc_mid_ratio(ax)
+    } else if ax >= ERFC_CUTOFF {
+        0.0 // underflows double precision
     } else {
-        erfc_large(ax)
+        exp_neg_square(ax) * erfc_large_ratio(ax)
     };
     if x < 0.0 {
         2.0 - v
@@ -252,6 +273,57 @@ pub fn probit(p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The untabulated `erfc`: both factors of the split exponential
+    /// evaluated by `exp` on every call.
+    fn erfc_two_exp(x: f64) -> f64 {
+        let ax = x.abs();
+        if ax <= 0.46875 {
+            return 1.0 - erf_small(x);
+        }
+        let v = if ax >= 26.7 {
+            0.0
+        } else {
+            let r = if ax <= 4.0 {
+                erfc_mid_ratio(ax)
+            } else {
+                erfc_large_ratio(ax)
+            };
+            let xsq = (ax * 16.0).trunc() / 16.0;
+            let del = (ax - xsq) * (ax + xsq);
+            (-xsq * xsq).exp() * (-del).exp() * r
+        };
+        if x < 0.0 {
+            2.0 - v
+        } else {
+            v
+        }
+    }
+
+    #[test]
+    fn coarse_exp_table_is_bitwise_exp() {
+        for (k, &e) in COARSE_EXP.iter().enumerate() {
+            let xsq = k as f64 / 16.0;
+            assert_eq!(e.to_bits(), (-(xsq * xsq)).exp().to_bits(), "k={k}");
+        }
+    }
+
+    #[test]
+    fn tabulated_erfc_is_bitwise_the_two_exp_formula() {
+        // A dense grid over [−27, 27], every coarse step k/16, and the
+        // region and cutoff edges — each with its neighbouring ulps.
+        let mut xs: Vec<f64> = (-270_000..=270_000).map(|i| f64::from(i) * 1e-4).collect();
+        let mut pivots: Vec<f64> = (0..=COARSE_STEPS).map(|k| k as f64 / 16.0).collect();
+        pivots.extend([0.46875, 4.0, ERFC_CUTOFF]);
+        for p in pivots {
+            for x in [p, -p] {
+                xs.extend([x.next_down(), x, x.next_up()]);
+            }
+        }
+        for x in xs {
+            assert_eq!(erfc(x).to_bits(), erfc_two_exp(x).to_bits(), "x={x:e}");
+        }
+    }
 
     #[test]
     fn erf_reference_values() {

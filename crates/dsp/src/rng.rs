@@ -138,41 +138,39 @@ impl DivotRng {
     /// draw is reproducible from the seed.
     ///
     /// Degenerate probabilities (`p == 0`, `p == 1`) return without
-    /// consuming any randomness.
+    /// consuming any randomness. Equivalent to
+    /// [`binomial_prepared`](Self::binomial_prepared) on
+    /// [`PreparedBinomial::new(n, p)`](PreparedBinomial::new).
     ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
     pub fn binomial(&mut self, n: u64, p: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
-        if n == 0 || p == 0.0 {
-            return 0;
-        }
-        if p == 1.0 {
-            return n;
-        }
-        // Work on q = min(p, 1−p) and mirror the result back.
-        let (q, flipped) = if p > 0.5 { (1.0 - p, true) } else { (p, false) };
-        let k = if n as f64 * q < BINOMIAL_INV_THRESHOLD {
-            self.binomial_inverse(n, q)
-        } else {
-            self.binomial_btpe(n, q)
+        self.binomial_prepared(&PreparedBinomial::new(n, p))
+    }
+
+    /// Draw from a prepared binomial law: bitwise the same value, from
+    /// the same stream positions, as [`binomial`](Self::binomial) with
+    /// the law's `(n, p)` — only the seed-independent setup is skipped.
+    pub fn binomial_prepared(&mut self, law: &PreparedBinomial) -> u64 {
+        let k = match law.sampler {
+            Sampler::Fixed(k) => return k,
+            Sampler::Inverse { s, pmf0 } => self.binomial_inverse(law.n, s, pmf0),
+            Sampler::Btrs(ref btrs) => self.binomial_btrs(law.n, btrs),
         };
-        if flipped {
-            n - k
+        if law.flipped {
+            law.n - k
         } else {
             k
         }
     }
 
     /// Inverse-CDF search: walk the pmf recurrence
-    /// `P(k+1) = P(k)·(n−k)/(k+1)·q/(1−q)` until the cumulative mass
-    /// passes a uniform draw. Exact; O(n·q) expected steps. Requires
-    /// `q ≤ 0.5` and a small mean so `(1−q)^n` stays well above the
-    /// underflow floor.
-    fn binomial_inverse(&mut self, n: u64, q: f64) -> u64 {
-        let s = q / (1.0 - q);
-        let mut pmf = ((n as f64) * (1.0 - q).ln()).exp();
+    /// `P(k+1) = P(k)·(n−k)/(k+1)·s` from `P(0) = pmf0` until the
+    /// cumulative mass passes a uniform draw. Exact; O(n·q) expected
+    /// steps.
+    fn binomial_inverse(&mut self, n: u64, s: f64, pmf0: f64) -> u64 {
+        let mut pmf = pmf0;
         let mut cdf = pmf;
         let u = self.uniform();
         let mut k = 0u64;
@@ -188,16 +186,17 @@ impl DivotRng {
     /// variant of the BTPE squeeze family). Exact for `n·q ≥ 10`,
     /// `q ≤ 0.5`; expected a small constant number of `(u, v)` pairs per
     /// draw regardless of `n`.
-    fn binomial_btpe(&mut self, n: u64, q: f64) -> u64 {
+    fn binomial_btrs(&mut self, n: u64, btrs: &Btrs) -> u64 {
+        let Btrs {
+            a,
+            b,
+            c,
+            v_r,
+            r,
+            alpha,
+            m,
+        } = *btrs;
         let nf = n as f64;
-        let stddev = (nf * q * (1.0 - q)).sqrt();
-        let b = 1.15 + 2.53 * stddev;
-        let a = -0.0873 + 0.0248 * b + 0.01 * q;
-        let c = nf * q + 0.5;
-        let v_r = 0.92 - 4.2 / b;
-        let r = q / (1.0 - q);
-        let alpha = (2.83 + 5.1 / b) * stddev;
-        let m = ((nf + 1.0) * q).floor();
         loop {
             let u = self.uniform() - 0.5;
             let v = self.uniform();
@@ -226,9 +225,102 @@ impl DivotRng {
     }
 }
 
+/// A `Binomial(n, p)` law with its seed-independent sampler setup done:
+/// the degenerate cases, the `q = min(p, 1−p)` mirror, and either the
+/// inverse-CDF start (`s = q/(1−q)`, `P(0) = (1−q)^n`) or the rejection
+/// sampler's constants. Preparing a law once and drawing from it many
+/// times with [`DivotRng::binomial_prepared`] is bitwise identical to
+/// calling [`DivotRng::binomial`] each time, since the setup consumes no
+/// randomness.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PreparedBinomial {
+    n: u64,
+    flipped: bool,
+    sampler: Sampler,
+}
+
+/// The draw-time half of a prepared binomial.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Sampler {
+    /// A degenerate law: always this count, no randomness consumed.
+    Fixed(u64),
+    /// Inverse-CDF search with ratio `s` and start mass `pmf0`.
+    Inverse { s: f64, pmf0: f64 },
+    /// Transformed rejection.
+    Btrs(Btrs),
+}
+
+/// The transformed-rejection sampler's constants for one `(n, q)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Btrs {
+    a: f64,
+    b: f64,
+    c: f64,
+    v_r: f64,
+    r: f64,
+    alpha: f64,
+    m: f64,
+}
+
+impl PreparedBinomial {
+    /// Prepare `Binomial(n, p)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `[0, 1]`.
+    pub fn new(n: u64, p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
+        let fixed = |k| Self {
+            n,
+            flipped: false,
+            sampler: Sampler::Fixed(k),
+        };
+        if n == 0 || p == 0.0 {
+            return fixed(0);
+        }
+        if p == 1.0 {
+            return fixed(n);
+        }
+        // Work on q = min(p, 1−p) and mirror the result back.
+        let (q, flipped) = if p > 0.5 { (1.0 - p, true) } else { (p, false) };
+        let nf = n as f64;
+        let sampler = if nf * q < BINOMIAL_INV_THRESHOLD {
+            // Requires a small mean so `(1−q)^n` stays well above the
+            // underflow floor.
+            Sampler::Inverse {
+                s: q / (1.0 - q),
+                pmf0: (nf * (1.0 - q).ln()).exp(),
+            }
+        } else {
+            let stddev = (nf * q * (1.0 - q)).sqrt();
+            let b = 1.15 + 2.53 * stddev;
+            Sampler::Btrs(Btrs {
+                a: -0.0873 + 0.0248 * b + 0.01 * q,
+                b,
+                c: nf * q + 0.5,
+                v_r: 0.92 - 4.2 / b,
+                r: q / (1.0 - q),
+                alpha: (2.83 + 5.1 / b) * stddev,
+                m: ((nf + 1.0) * q).floor(),
+            })
+        };
+        Self {
+            n,
+            flipped,
+            sampler,
+        }
+    }
+
+    /// The number of trials `n`.
+    pub fn trials(&self) -> u64 {
+        self.n
+    }
+}
+
 /// Mean threshold below which [`DivotRng::binomial`] uses inverse-CDF
-/// search instead of the rejection sampler.
-const BINOMIAL_INV_THRESHOLD: f64 = 10.0;
+/// search instead of the rejection sampler: `n·min(p, 1−p)` below it
+/// takes the inverse branch.
+pub const BINOMIAL_INV_THRESHOLD: f64 = 10.0;
 
 /// The Stirling-series tail `ln(k!) − [k·ln k − k + ½·ln(2πk)]`, tabulated
 /// exactly for small `k` (where the series is weakest) and by the
@@ -568,5 +660,27 @@ mod tests {
             let got = super::stirling_tail(kf);
             assert!((got - want).abs() < 1e-9, "k={k}: {got} vs {want}");
         }
+    }
+
+    #[test]
+    fn binomial_draws_are_pinned() {
+        // FNV-1a over draws from both samplers, the mirror and the
+        // degenerate ends, plus the stream position afterwards. Pins the
+        // sampler bitwise, including branches the fleet never reaches.
+        let ns = [1u64, 2, 7, 19, 20, 21, 40, 100, 420, 5_000, 100_000];
+        let ps = [0.0, 1e-3, 0.03, 0.2, 0.4999, 0.5, 0.5001, 0.8, 0.97, 1.0];
+        let mut rng = DivotRng::seed_from_u64(0xD1_7075);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &n in &ns {
+            for &p in &ps {
+                for _ in 0..8 {
+                    hash ^= rng.binomial(n, p);
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        hash ^= rng.uniform().to_bits();
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        assert_eq!(hash, 0xf912_5678_d8a8_c918, "got {hash:#018x}");
     }
 }

@@ -2,7 +2,7 @@
 
 use divot_dsp::gaussian::{DiscreteModulatedCdf, PlainCdf, ProbabilityMap, TriangleModulatedCdf};
 use divot_dsp::quadrature::GaussHermite;
-use divot_dsp::rng::DivotRng;
+use divot_dsp::rng::{DivotRng, PreparedBinomial, BINOMIAL_INV_THRESHOLD};
 use divot_dsp::similarity::{cosine, error_function, similarity};
 use divot_dsp::stats::{Accumulator, Histogram};
 use divot_dsp::waveform::Waveform;
@@ -332,5 +332,50 @@ proptest! {
         // The streaming snapshot cannot compute a MAD.
         let acc: Accumulator = xs.iter().copied().collect();
         prop_assert!(acc.summary().mad.is_nan());
+    }
+}
+
+proptest! {
+    // Cheap per case and the branch edges are narrow: run many cases.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn prepared_binomial_is_bitwise_binomial(
+        seed in any::<u64>(),
+        n in 1u64..=400,
+        case in 0usize..10,
+        x in 0.0f64..1.0,
+    ) {
+        // The forced cases: both degenerate ends, the mirror edge, and a
+        // mean just below and just above the inverse/rejection switch
+        // (on either side of the mirror); otherwise p is uniform.
+        let edge = |above: bool| {
+            let mut q = BINOMIAL_INV_THRESHOLD / n as f64;
+            while above && n as f64 * q < BINOMIAL_INV_THRESHOLD {
+                q = q.next_up();
+            }
+            while !above && n as f64 * q >= BINOMIAL_INV_THRESHOLD {
+                q = q.next_down();
+            }
+            q
+        };
+        let p = match case {
+            0 => 0.0,
+            1 => 1.0,
+            2 => 0.5,
+            3 => 0.5f64.next_up(),
+            4 | 5 if edge(case == 5) <= 0.5 => edge(case == 5),
+            6 | 7 if edge(case == 7) <= 0.5 => 1.0 - edge(case == 7),
+            _ => x,
+        };
+        let law = PreparedBinomial::new(n, p);
+        prop_assert_eq!(law.trials(), n);
+        let mut a = DivotRng::seed_from_u64(seed);
+        let mut b = DivotRng::seed_from_u64(seed);
+        // One law, several draws: the prepared setup is reusable.
+        for _ in 0..4 {
+            prop_assert_eq!(a.binomial_prepared(&law), b.binomial(n, p), "n={} p={:e}", n, p);
+        }
+        prop_assert_eq!(a.uniform().to_bits(), b.uniform().to_bits());
     }
 }

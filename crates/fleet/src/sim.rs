@@ -764,4 +764,23 @@ mod tests {
             .count();
         assert!((20..80).contains(&faults), "≈25% expected, got {faults}/200");
     }
+
+    #[test]
+    fn golden_acquisition_hash_is_pinned() {
+        // FNV-1a (one 64-bit word per sample) over every sample bit of
+        // 256 warm acquisitions. Any change to the acquisition kernel
+        // that moves a single bit of any sample (rounding order, RNG
+        // stream use, saturation edges) changes this hash.
+        let f = SimulatedFleet::new(FleetSimConfig::fast(16, 2020));
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for k in 0..256u64 {
+            let name = SimulatedFleet::device_name((k % 16) as usize);
+            let wf = f.acquire(&name, 1000 + k).unwrap();
+            for s in wf.samples() {
+                hash ^= s.to_bits();
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, 0xeba1_6e10_f2cf_994d, "got {hash:#018x}");
+    }
 }
