@@ -7,10 +7,9 @@
 //! it as the dithering source that gives a 1-bit device analog resolution.
 
 use divot_dsp::rng::DivotRng;
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of a comparator instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComparatorConfig {
     /// Input-referred Gaussian noise sigma (volts).
     pub noise_sigma: f64,

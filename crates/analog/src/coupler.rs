@@ -8,10 +8,8 @@
 //! same drive, so it appears as a fixed additive component of the measured
 //! waveform — common to genuine and impostor measurements alike.
 
-use serde::{Deserialize, Serialize};
-
 /// Directional-coupler model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Coupler {
     /// Coupling of the backward wave into the detector, in dB (negative;
     /// e.g. −6 dB passes half the voltage).

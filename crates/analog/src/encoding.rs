@@ -13,8 +13,6 @@
 //!   x² + x + 1, the PCIe/SATA family polynomial style), which whitens
 //!   payload bits multiplicatively.
 
-use serde::{Deserialize, Serialize};
-
 /// 5b/6b encoding table, indexed by the low 5 bits (EDCBA). Each entry is
 /// `(abcdei_rd_minus, abcdei_rd_plus)` — the 6-bit codes used when the
 /// running disparity is −1 / +1.
@@ -72,7 +70,7 @@ fn ones(v: u16, bits: u32) -> i32 {
 }
 
 /// A running-disparity 8b/10b encoder (data characters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Encoder8b10b {
     /// Current running disparity: `false` = RD−, `true` = RD+.
     rd_plus: bool,
@@ -135,7 +133,7 @@ impl Encoder8b10b {
 /// A multiplicative (self-synchronizing) LFSR scrambler using the
 /// polynomial `x^32 + x^22 + x^2 + x + 1` style feedback (PCIe/SATA
 /// family), seeded non-zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scrambler {
     state: u32,
 }

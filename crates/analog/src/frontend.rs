@@ -18,10 +18,9 @@ use crate::modulation::{ModulationWave, VernierSchedule};
 use crate::noise::{EmiTone, NoiseSource};
 use crate::pll::PllConfig;
 use divot_dsp::rng::DivotRng;
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of an iTDR analog front end.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontEndConfig {
     /// The directional coupler.
     pub coupler: Coupler,

@@ -10,10 +10,9 @@
 //! edges are perfectly periodic.
 
 use divot_dsp::rng::DivotRng;
-use serde::{Deserialize, Serialize};
 
 /// A modulation scheme on the bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineCode {
     /// Non-return-to-zero binary: two levels, one bit per unit interval.
     Nrz,
@@ -123,7 +122,7 @@ pub fn expected_trigger_density(code: LineCode) -> f64 {
 /// The clock lane: a perfectly periodic square wave. Every cycle provides a
 /// rising edge usable as a probe — no trigger logic or FIFO look-ahead
 /// required (paper §II-E, §III).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockLane {
     /// Clock frequency (Hz).
     pub frequency: f64,

@@ -10,10 +10,9 @@
 //! the visited levels (Fig. 4), widening the linear range.
 
 use divot_dsp::rng::DivotRng;
-use serde::{Deserialize, Serialize};
 
 /// A periodic PDM reference waveform, parameterized by phase in `[0, 1)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ModulationWave {
     /// No modulation: a fixed DC reference (plain APC).
     Dc {
@@ -100,7 +99,7 @@ impl ModulationWave {
 /// modulation period; because `gcd(num, den) = 1`, the trigger sequence
 /// visits `den` equally spaced phases before repeating — the "Vernier time
 /// delay" of paper Fig. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VernierSchedule {
     num: u64,
     den: u64,

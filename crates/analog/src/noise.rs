@@ -8,7 +8,6 @@
 //! (paper §IV-C's EMI experiment).
 
 use divot_dsp::rng::DivotRng;
-use serde::{Deserialize, Serialize};
 
 /// A time-varying voltage disturbance at the receiver input.
 ///
@@ -25,7 +24,7 @@ pub trait NoiseSource {
 }
 
 /// White Gaussian (thermal) noise of a given RMS voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaussianNoise {
     /// RMS noise voltage (sigma).
     pub sigma: f64,
@@ -41,7 +40,7 @@ impl NoiseSource for GaussianNoise {
 
 /// A narrowband EMI aggressor (e.g. a nearby high-speed digital circuit's
 /// clock harmonic), asynchronous to the probe signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmiTone {
     /// Peak amplitude of the coupled interference (volts).
     pub amplitude: f64,
@@ -49,7 +48,6 @@ pub struct EmiTone {
     pub frequency: f64,
     /// Current phase (radians) — re-randomized per trigger because the
     /// aggressor is not synchronized to the probe.
-    #[serde(skip)]
     phase: f64,
 }
 
@@ -84,13 +82,12 @@ impl NoiseSource for EmiTone {
 
 /// A burst disturbance that is active only for a fraction of triggers
 /// (e.g. a switching regulator firing intermittently).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstNoise {
     /// Amplitude while the burst is active.
     pub amplitude: f64,
     /// Probability that any given trigger falls inside a burst.
     pub duty: f64,
-    #[serde(skip)]
     active: bool,
 }
 

@@ -7,10 +7,9 @@
 //! random jitter, which bounds the achievable timing precision.
 
 use divot_dsp::rng::DivotRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a phase-stepping PLL.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PllConfig {
     /// Phase step per increment (seconds). The paper's part: 11.16 ps.
     pub phase_step: f64,

@@ -34,7 +34,7 @@ use divot_fleet::wire::{decode_event, encode_request_tagged, FrameBuffer};
 use divot_fleet::{
     FleetClient, FleetConfig, FleetError, FleetService, FleetSimConfig, FleetTcpServer,
     PipelinedFleetClient, ReactorConfig, Request, Response, ShedReason, SimulatedFleet,
-    TcpFleetClient, WireEvent,
+    WireEvent,
 };
 use divot_polling::{Event as PollEvent, Poller};
 
@@ -206,13 +206,16 @@ fn quick_smoke() {
     print_metric("concurrent_verifies", VERIFIES);
     print_metric("listen_addr", addr);
 
-    let mut enroll_client = TcpFleetClient::connect(addr).expect("connect");
+    let mut enroll_client = PipelinedFleetClient::connect(addr).expect("connect");
     for i in 0..BUSES {
         enroll_client
-            .call(&Request::Enroll {
-                device: SimulatedFleet::device_name(i),
-                nonce: 1,
-            })
+            .call(
+                &Request::Enroll {
+                    device: SimulatedFleet::device_name(i),
+                    nonce: 1,
+                },
+                None,
+            )
             .expect("enroll over TCP");
     }
 
@@ -223,11 +226,12 @@ fn quick_smoke() {
         for k in 0..VERIFIES {
             let (sheds, accepts) = (&sheds, &accepts);
             scope.spawn(move || {
-                let mut c = TcpFleetClient::connect(addr).expect("connect");
-                match c.call(&Request::Verify {
+                let mut c = PipelinedFleetClient::connect(addr).expect("connect");
+                let verify = Request::Verify {
                     device: SimulatedFleet::device_name(k % BUSES),
                     nonce: 5_000 + k as u64,
-                }) {
+                };
+                match c.call(&verify, None) {
                     Ok(Response::Verdict { accepted, .. }) => {
                         if accepted {
                             accepts.fetch_add(1, Ordering::Relaxed);
@@ -284,45 +288,49 @@ fn quick_smoke() {
 }
 
 // ---------------------------------------------------------------------
-// Cohort cold path: batched enrollment intake
+// Cohort cold path: enrollment intake
 // ---------------------------------------------------------------------
 
-/// Enroll a fresh cohort through chunked [`Request::EnrollBatch`]
-/// requests, measuring the amortized cold cost per board. One worker:
-/// the phase measures the algorithmic cold path (bracketed analytic
-/// sweeps, shared design precompute, batched clean acquisitions), not
-/// worker parallelism — scaling claims stay with the classic phases.
-fn cohort_phase(devices: usize, chunk: usize, cores: usize) -> Vec<(String, f64)> {
-    banner(&format!(
-        "cohort intake ({devices} boards, EnrollBatch chunks of {chunk}, 1 worker)"
-    ));
-    let mut metrics: Vec<(String, f64)> = Vec::new();
+/// Client threads feeding the cohort enrolls, matching the default
+/// worker pool of a 2-core host.
+const COHORT_CLIENTS: usize = 2;
 
-    // Solo baseline on its own (identically configured) service: the
-    // same intake driven as one Enroll request per board.
-    let solo_sample = (devices / 8).clamp(8, 64);
-    let solo_ms_per_board = {
-        let svc = FleetService::start(
-            FleetConfig::default().with_workers(1),
-            SimulatedFleet::new(FleetSimConfig::fast(solo_sample, SEED)),
-        );
-        let client = svc.client();
-        let t0 = Instant::now();
-        for i in 0..solo_sample {
-            client
-                .call(Request::Enroll {
-                    device: SimulatedFleet::device_name(i),
-                    nonce: 1,
-                })
-                .expect("solo enroll");
+/// Enroll boards `range` as solo `Enroll` requests through the default
+/// worker pool, from [`COHORT_CLIENTS`] client threads (board `i` goes
+/// to thread `i % COHORT_CLIENTS`). Returns how many were enrolled.
+fn enroll_solo(client: &FleetClient, range: std::ops::Range<usize>) -> usize {
+    let enrolled = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for t in 0..COHORT_CLIENTS {
+            let (client, enrolled, range) = (client.clone(), &enrolled, range.clone());
+            scope.spawn(move || {
+                for i in range.skip(t).step_by(COHORT_CLIENTS) {
+                    let done = client.call(Request::Enroll {
+                        device: SimulatedFleet::device_name(i),
+                        nonce: 1,
+                    });
+                    if matches!(done, Ok(Response::Enrolled { .. })) {
+                        enrolled.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
         }
-        t0.elapsed().as_secs_f64() * 1e3 / solo_sample as f64
-    };
-    print_metric("solo_sample", solo_sample);
-    print_metric("solo_ms_per_board", format!("{solo_ms_per_board:.3}"));
+    });
+    enrolled.into_inner()
+}
 
+/// Enroll a fresh cohort in chunks of `chunk` boards, each chunk as solo
+/// enrolls through the default worker pool ([`enroll_solo`]), measuring
+/// the amortized cold cost per board. The cold path under test is
+/// algorithmic: bracketed analytic sweeps, shared design precompute,
+/// hoisted point laws.
+fn cohort_phase(devices: usize, chunk: usize) -> Vec<(String, f64)> {
+    banner(&format!(
+        "cohort intake ({devices} boards, solo enrolls from {COHORT_CLIENTS} clients, \
+         timed in chunks of {chunk})"
+    ));
     let svc = FleetService::start(
-        FleetConfig::default().with_workers(1),
+        FleetConfig::default(),
         SimulatedFleet::new(FleetSimConfig::fast(devices, SEED)),
     );
     let client = svc.client();
@@ -330,47 +338,23 @@ fn cohort_phase(devices: usize, chunk: usize, cores: usize) -> Vec<(String, f64)
     let mut enrolled = 0usize;
     let started = Instant::now();
     for start in (0..devices).step_by(chunk) {
-        let rows: Vec<(String, u64)> = (start..(start + chunk).min(devices))
-            .map(|i| (SimulatedFleet::device_name(i), 1))
-            .collect();
-        let n = rows.len();
+        let end = (start + chunk).min(devices);
         let t0 = Instant::now();
-        match client
-            .call_with_deadline(
-                Request::EnrollBatch { devices: rows },
-                Duration::from_secs(600),
-            )
-            .expect("cohort batch")
-        {
-            Response::EnrolledBatch { devices: done } => enrolled += done.len(),
-            other => panic!("unexpected {other:?}"),
-        }
-        chunk_ms_per_board.push(t0.elapsed().as_secs_f64() * 1e3 / n as f64);
+        enrolled += enroll_solo(&client, start..end);
+        chunk_ms_per_board.push(t0.elapsed().as_secs_f64() * 1e3 / (end - start) as f64);
     }
     let total = started.elapsed();
     chunk_ms_per_board.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let p50 = chunk_ms_per_board[(chunk_ms_per_board.len() - 1) / 2];
     let mean = total.as_secs_f64() * 1e3 / devices as f64;
-    let speedup = solo_ms_per_board / p50.max(1e-9);
+    print_metric("workers", svc.worker_count());
     print_metric("enrolled", enrolled);
     print_metric("cohort_wall_clock_s", format!("{:.2}", total.as_secs_f64()));
-    print_metric("batch_ms_per_board_p50", format!("{p50:.3}"));
-    print_metric("batch_ms_per_board_mean", format!("{mean:.3}"));
-    print_metric("speedup_batch_over_solo", format!("{speedup:.2}"));
+    print_metric("ms_per_board_p50", format!("{p50:.3}"));
+    print_metric("ms_per_board_mean", format!("{mean:.3}"));
     print_claim("cohort_all_enrolled", enrolled == devices);
-    // The ≤4 ms/board target is algorithmic (bracketed sweeps, one
-    // design precompute, hoisted point laws) — asserted on any host.
+    // The ≤4 ms/board target is algorithmic — asserted on any host.
     print_claim("cohort_cold_p50_under_4ms_per_board", p50 <= 4.0);
-    // Batch-over-solo wins come partly from fanning whole boards across
-    // cores; on a single-core host the ratio is reported, not asserted.
-    if cores >= 2 {
-        print_claim("cohort_batch_not_slower_than_solo", speedup >= 1.0);
-    } else {
-        print_metric(
-            "cohort_batch_not_slower_than_solo",
-            format!("{speedup:.2}x (reported only: 1 core, fan-out is serial)"),
-        );
-    }
     // Spot-check: a cohort-enrolled board verifies like any other.
     let accepts = [0, devices / 2, devices - 1].iter().all(|&i| {
         matches!(
@@ -382,44 +366,30 @@ fn cohort_phase(devices: usize, chunk: usize, cores: usize) -> Vec<(String, f64)
         )
     });
     print_claim("cohort_spot_verifies_accept", accepts);
-
-    metrics.push(("fleet/cohort/devices".into(), devices as f64));
-    metrics.push(("fleet/cohort/chunk".into(), chunk as f64));
-    metrics.push(("fleet/cohort/batch_ms_per_board_p50".into(), p50));
-    metrics.push(("fleet/cohort/batch_ms_per_board_mean".into(), mean));
-    metrics.push(("fleet/cohort/solo_ms_per_board".into(), solo_ms_per_board));
-    metrics.push(("fleet/cohort/speedup_batch_over_solo".into(), speedup));
-    metrics
+    vec![
+        ("fleet/cohort/devices".into(), devices as f64),
+        ("fleet/cohort/chunk".into(), chunk as f64),
+        ("fleet/cohort/ms_per_board_p50".into(), p50),
+        ("fleet/cohort/ms_per_board_mean".into(), mean),
+    ]
 }
 
-/// The `--quick` cohort smoke: one 64-board EnrollBatch must enroll
-/// everything inside the amortized cold budget and leave the cohort
-/// verifiable.
+/// The `--quick` cohort smoke: 64 boards enrolled as solo enrolls
+/// through the default worker pool must all land inside the amortized
+/// cold budget and leave the cohort verifiable.
 fn quick_cohort_smoke() {
-    banner("cohort smoke (64-board EnrollBatch)");
+    banner("cohort smoke (64 solo enrolls)");
     const BOARDS: usize = 64;
     let svc = FleetService::start(
-        FleetConfig::default().with_workers(1),
+        FleetConfig::default(),
         SimulatedFleet::new(FleetSimConfig::fast(BOARDS, SEED)),
     );
     let client = svc.client();
-    let rows: Vec<(String, u64)> = (0..BOARDS)
-        .map(|i| (SimulatedFleet::device_name(i), 1))
-        .collect();
     let t0 = Instant::now();
-    let enrolled = match client
-        .call_with_deadline(
-            Request::EnrollBatch { devices: rows },
-            Duration::from_secs(600),
-        )
-        .expect("cohort smoke batch")
-    {
-        Response::EnrolledBatch { devices } => devices.len(),
-        other => panic!("unexpected {other:?}"),
-    };
+    let enrolled = enroll_solo(&client, 0..BOARDS);
     let per_board_ms = t0.elapsed().as_secs_f64() * 1e3 / BOARDS as f64;
     print_metric("boards", BOARDS);
-    print_metric("batch_ms_per_board", format!("{per_board_ms:.3}"));
+    print_metric("ms_per_board", format!("{per_board_ms:.3}"));
     print_claim("cohort_smoke_all_enrolled", enrolled == BOARDS);
     print_claim("cohort_smoke_under_4ms_per_board", per_board_ms <= 4.0);
     let ok = matches!(
@@ -516,7 +486,7 @@ impl DriveSpec {
     }
 
     /// The `(device, nonce)` of global request index `i` — shared by the
-    /// driver, the priming pass, and the verdict hash.
+    /// driver and the priming pass.
     fn workload(&self, i: usize) -> (String, u64) {
         let k = i % self.warm_span.max(1);
         (
@@ -537,10 +507,6 @@ struct DriveReport {
     elapsed_s: f64,
     p50_us: u64,
     p99_us: u64,
-    /// Order-independent digest over every served verdict:
-    /// wrapping sum of per-request FNV-1a over
-    /// `(request index, accepted, similarity bits)`.
-    hash: u64,
 }
 
 impl DriveReport {
@@ -551,7 +517,7 @@ impl DriveReport {
     fn encode(&self) -> String {
         format!(
             "served={} accepted={} sheds={} errors={} reconnects={} elapsed_s={:.6} \
-             p50_us={} p99_us={} hash={:016x}",
+             p50_us={} p99_us={}",
             self.served,
             self.accepted,
             self.sheds,
@@ -560,7 +526,6 @@ impl DriveReport {
             self.elapsed_s,
             self.p50_us,
             self.p99_us,
-            self.hash,
         )
     }
 
@@ -583,23 +548,11 @@ impl DriveReport {
                 }
                 "p50_us" => report.p50_us = value.parse().map_err(|e| format!("{key}: {e}"))?,
                 "p99_us" => report.p99_us = value.parse().map_err(|e| format!("{key}: {e}"))?,
-                "hash" => {
-                    report.hash =
-                        u64::from_str_radix(value, 16).map_err(|e| format!("{key}: {e}"))?;
-                }
                 other => return Err(format!("unknown driver report key {other:?}")),
             }
         }
         Ok(report)
     }
-}
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn connect_retry(addr: &str) -> Result<TcpStream, String> {
@@ -787,23 +740,12 @@ fn drive_wire(spec: &DriveSpec) -> Result<DriveReport, String> {
                                 conn.done += 1;
                                 credited += 1;
                                 match *outcome {
-                                    Ok(Response::Verdict {
-                                        accepted,
-                                        similarity,
-                                        ..
-                                    }) => {
+                                    Ok(Response::Verdict { accepted, .. }) => {
                                         latencies
                                             .push(sent_at.elapsed().as_micros().min(u128::from(u64::MAX))
                                                 as u64);
                                         report.served += 1;
                                         report.accepted += u64::from(accepted);
-                                        let mut h = fnv1a(
-                                            0xcbf2_9ce4_8422_2325,
-                                            &((c * spec.per_conn + j) as u64).to_le_bytes(),
-                                        );
-                                        h = fnv1a(h, &[u8::from(accepted)]);
-                                        h = fnv1a(h, &similarity.to_bits().to_le_bytes());
-                                        report.hash = report.hash.wrapping_add(h);
                                     }
                                     Err(FleetError::Overloaded { .. }) => report.sheds += 1,
                                     _ => report.errors += 1,
@@ -1005,10 +947,9 @@ fn report_drive(report: &DriveReport, expect: usize) {
     );
 }
 
-/// The connection-scaling phases: threaded baseline vs reactor at 1024
-/// connections, byte-equivalence probe, the 10k-connection phase (child
-/// process), and churn. Returns the metrics to merge into the JSON
-/// document.
+/// The connection-scaling phases: the reactor at 1024 connections, the
+/// 10k-connection phase (child process), and churn. Returns the metrics
+/// to merge into the JSON document.
 fn wire_scaling_phases() -> Vec<(String, f64)> {
     let mut metrics: Vec<(String, f64)> = Vec::new();
     banner("wire: warm service setup (64 buses, 4096 warm pairs)");
@@ -1030,28 +971,12 @@ fn wire_scaling_phases() -> Vec<(String, f64)> {
     };
 
     // 1024 connections, pipeline 32 — the regime the reactor exists
-    // for. Deep pipelining amortizes the reactor's per-wakeup poll cost
-    // across many frames, while the threaded server's per-request
-    // worker-queue round trip (two context switches) cannot amortize at
-    // all; both servers get the identical workload. Best of two passes
-    // per flavor: a single short pass on a shared box measures scheduler
-    // luck as much as the server.
+    // for: deep pipelining amortizes the per-wakeup poll cost across
+    // many frames. Best of two passes: a single short pass on a shared
+    // box measures scheduler luck as much as the server.
     const VS_CONNS: usize = 1024;
     const VS_PIPELINE: usize = 32;
     const VS_PER_CONN: usize = 64;
-    banner("wire: threaded baseline (1024 conns, pipeline 32, best of 2)");
-    let threaded_rps = {
-        let server =
-            FleetTcpServer::spawn_threaded(svc.client(), "127.0.0.1:0").expect("bind threaded");
-        let s = spec(server.local_addr().to_string(), VS_CONNS, VS_PIPELINE, VS_PER_CONN, 0);
-        let warm = run_driver(&s, true).expect("threaded drive");
-        let best = run_driver(&s, true).expect("threaded drive");
-        let report = if best.rps() >= warm.rps() { best } else { warm };
-        report_drive(&report, VS_CONNS * VS_PER_CONN);
-        report.rps()
-    };
-    metrics.push(("fleet/wire/threaded_rps_1024".into(), threaded_rps));
-
     banner("wire: reactor (1024 conns, pipeline 32, best of 2)");
     let reactor_rps = {
         let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind reactor");
@@ -1062,30 +987,7 @@ fn wire_scaling_phases() -> Vec<(String, f64)> {
         report_drive(&report, VS_CONNS * VS_PER_CONN);
         report.rps()
     };
-    let speedup = reactor_rps / threaded_rps.max(1e-9);
-    print_metric("speedup_reactor_over_threaded", format!("{speedup:.2}"));
-    print_claim("reactor_at_least_5x_threaded_at_1024_conns", speedup >= 5.0);
     metrics.push(("fleet/wire/reactor_rps_1024".into(), reactor_rps));
-    metrics.push(("fleet/wire/speedup_reactor_over_threaded".into(), speedup));
-
-    banner("wire: byte-equivalence probe (64 conns, identical workload)");
-    {
-        let reactor = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind reactor");
-        let threaded =
-            FleetTcpServer::spawn_threaded(svc.client(), "127.0.0.1:0").expect("bind threaded");
-        let a = run_driver(&spec(reactor.local_addr().to_string(), 64, 4, 32, 0), true)
-            .expect("reactor probe");
-        let b = run_driver(&spec(threaded.local_addr().to_string(), 64, 4, 32, 0), true)
-            .expect("threaded probe");
-        print_metric("reactor_hash", format!("{:016x}", a.hash));
-        print_metric("threaded_hash", format!("{:016x}", b.hash));
-        let identical = a.hash == b.hash && a.served == b.served && a.served == 64 * 32;
-        print_claim("verdicts_bitwise_identical_reactor_vs_threaded", identical);
-        metrics.push((
-            "fleet/wire/equivalence_hash_match".into(),
-            f64::from(identical),
-        ));
-    }
 
     banner("wire: reactor connection scaling (10000 conns, child driver)");
     {
@@ -1522,8 +1424,8 @@ fn main() -> std::process::ExitCode {
     }
 
     // `DIVOT_FLEET_PHASES`: `all` (default), `classic` (worker-scaling
-    // and overload only), `cohort` (the batched-enrollment cold path —
-    // what `just bench-cohort` runs), `wire` (the event-driven wire
+    // and overload only), `cohort` (the 1000-board enrollment cold path
+    // — what `just bench-cohort` runs), `wire` (the event-driven wire
     // layer only — what `just bench-wire` runs), or `trace` (the
     // tracing-overhead comparison only).
     let phases = std::env::var("DIVOT_FLEET_PHASES").unwrap_or_else(|_| "all".to_owned());
@@ -1570,7 +1472,7 @@ fn main() -> std::process::ExitCode {
         wire_metrics.extend(trace_overhead_phase(BUSES, CLIENTS, REQUESTS));
     }
     if run_cohort {
-        wire_metrics.extend(cohort_phase(1000, 64, cores));
+        wire_metrics.extend(cohort_phase(1000, 64));
     }
     if run_wire {
         wire_metrics.extend(wire_scaling_phases());

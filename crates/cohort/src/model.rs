@@ -5,7 +5,6 @@ use crate::cluster::{cluster_by_similarity, PairwiseSimilarity};
 use crate::verdict::{IntakeScore, Verdict};
 use divot_dsp::similarity::cosine;
 use divot_dsp::stats::{median, median_abs_deviation, trimmed_mean, MAD_TO_SIGMA};
-use serde::{Deserialize, Serialize};
 
 /// Tuning knobs of cohort learning and verdict classification.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// cohort sizes and pins the resulting EER.
 ///
 /// [`ItdrConfig::fast`]: https://docs.rs/divot-core
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CohortConfig {
     /// Minimum number of boards a model can be learned from (and the
     /// minimum size of the surviving genuine cluster).
@@ -86,7 +85,7 @@ impl Default for CohortConfig {
 /// expresses every broad channel in units of the cohort's *own* robust
 /// spread — "this board's profile level sits 9 member-sigmas off the
 /// population" means the same thing for any design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Median member similarity-to-centroid.
     pub sim_center: f64,
@@ -162,7 +161,7 @@ impl std::error::Error for CohortError {}
 
 /// A learned population model: the golden-free reference an intake scan
 /// attests unknown boards against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationModel {
     config: CohortConfig,
     /// Per-segment robust location (median over the genuine cluster).

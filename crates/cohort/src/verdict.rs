@@ -1,7 +1,6 @@
 //! Typed intake verdicts and the per-board evidence behind them.
 
 use crate::model::CohortConfig;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of attesting one unknown board against a population
 /// model.
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// the centroid; tampering (solder scars, probe loading, swapped
 /// termination chips) is localized, so a few segments spike while the
 /// overall shape survives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verdict {
     /// The board is statistically indistinguishable from the genuine
     /// population.
@@ -87,7 +86,7 @@ impl std::fmt::Display for Verdict {
 }
 
 /// Per-board evidence from scoring against a population model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntakeScore {
     /// Mean-removed cosine similarity to the population centroid,
     /// clamped to `[0, 1]`.

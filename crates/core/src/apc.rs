@@ -8,7 +8,6 @@
 //! exactly how low-overhead hardware would do it.
 
 use divot_dsp::gaussian::ProbabilityMap;
-use serde::{Deserialize, Serialize};
 
 /// A count→voltage lookup table for a fixed repetition count `R`.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// smoothed estimate `(c + ½) / (R + 1)` (add-half a.k.a. Krichevsky–
 /// Trofimov smoothing, which keeps saturated counts finite and
 /// low-variance).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconstructionTable {
     volts: Vec<f64>,
 }
@@ -67,7 +66,7 @@ impl ReconstructionTable {
 }
 
 /// A hardware-style trip counter: accumulates comparator decisions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TripCounter {
     count: u32,
     total: u32,

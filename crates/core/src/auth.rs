@@ -11,7 +11,6 @@ use crate::fingerprint::Fingerprint;
 use divot_dsp::similarity::similarity;
 use divot_dsp::waveform::Waveform;
 use divot_telemetry::{Histogram, Value};
-use serde::{Deserialize, Serialize};
 
 /// Record one decision in the process-wide telemetry (no-op when none
 /// is installed): `auth.accepts` / `auth.rejects` counters, the
@@ -38,7 +37,7 @@ fn note_decision(decision: &AuthDecision, lanes: usize) {
 }
 
 /// Acceptance policy for authentication.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuthPolicy {
     /// Similarity threshold: accept when `S_xy >= threshold`.
     pub threshold: f64,
@@ -69,7 +68,7 @@ impl AuthPolicy {
 }
 
 /// The outcome of one authentication check.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AuthDecision {
     /// The measured IIP matches the enrolled fingerprint.
     Accept {
@@ -100,7 +99,7 @@ impl AuthDecision {
 }
 
 /// A similarity-threshold authenticator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Authenticator {
     policy: AuthPolicy,
 }
@@ -224,7 +223,7 @@ pub fn compensated_score(
 /// The §III two-way handshake: the CPU side authenticates the memory
 /// module's bus view, and the memory side authenticates the CPU's. The bus
 /// is trusted only when *both* directions accept.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoWayOutcome {
     /// The CPU-side (master) decision.
     pub master: AuthDecision,

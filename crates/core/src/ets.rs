@@ -7,7 +7,6 @@
 //! rate `1/ΔT` give an equivalent rate of `1/τ`.
 
 use divot_analog::pll::PllConfig;
-use serde::{Deserialize, Serialize};
 
 /// An equivalent-time sampling plan over a time window.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// // Equivalent sampling rate 1/τ ≈ 89.6 GSa/s — the paper's ">80 GSa/s".
 /// assert!(1.0 / ets.tau > 80e9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EtsSchedule {
     /// Start of the observation window, relative to the probe edge launch
     /// (seconds).

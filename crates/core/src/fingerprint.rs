@@ -10,7 +10,6 @@
 //! a 30-byte header plus one little-endian `i16` per sample.
 
 use divot_dsp::waveform::Waveform;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Magic bytes identifying an encoded fingerprint.
@@ -19,7 +18,7 @@ const MAGIC: &[u8; 4] = b"DIVT";
 const VERSION: u8 = 1;
 
 /// An enrolled IIP fingerprint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fingerprint {
     iip: Waveform,
     enrollment_count: u32,

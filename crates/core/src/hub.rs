@@ -17,10 +17,9 @@ use crate::itdr::Itdr;
 use crate::monitor::{BusMonitor, MonitorConfig, MonitorEvent};
 use crate::resources::ResourceModel;
 use crate::trigger::TriggerSource;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a lane registered with a hub.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LaneId(usize);
 
 impl LaneId {

@@ -29,7 +29,6 @@ use divot_dsp::rng::{mix_seed, DivotRng, PreparedBinomial};
 use divot_dsp::waveform::Waveform;
 use divot_telemetry::{Counter, Value};
 use divot_txline::units::Seconds;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Domain tag for the per-point jitter RNG streams.
@@ -53,7 +52,7 @@ const JITTER_QUAD_ORDER: usize = 9;
 const SATURATION_SIGMAS: f64 = 8.0;
 
 /// How the APC obtains each (ETS point, reference level) trip count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AcqMode {
     /// Simulate every comparator trial individually (the statistical
     /// reference — exactly the hardware's acquisition sequence).
@@ -93,7 +92,7 @@ impl std::str::FromStr for AcqMode {
 }
 
 /// Configuration of one iTDR instrument.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ItdrConfig {
     /// The equivalent-time sampling schedule.
     pub ets: EtsSchedule,
@@ -105,9 +104,7 @@ pub struct ItdrConfig {
     /// (0 disables smoothing).
     pub smoothing_half_width: usize,
     /// How trip counts are acquired (per-trial simulation or closed-form
-    /// probabilities + binomial draws). Defaults to [`AcqMode::Trial`];
-    /// absent in serialized configs from before the field existed.
-    #[serde(default)]
+    /// probabilities + binomial draws). Defaults to [`AcqMode::Trial`].
     pub acq_mode: AcqMode,
 }
 
@@ -349,7 +346,7 @@ impl PointNodes {
 }
 
 /// The iTDR instrument.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Itdr {
     config: ItdrConfig,
 }

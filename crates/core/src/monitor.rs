@@ -18,10 +18,9 @@ use crate::fingerprint::Fingerprint;
 use crate::itdr::Itdr;
 use crate::tamper::{TamperDetector, TamperPolicy, TamperReport};
 use divot_telemetry::Value;
-use serde::{Deserialize, Serialize};
 
 /// Why the monitor is alarmed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlarmKind {
     /// The measured fingerprint no longer matches (module swapped, wrong
     /// bus, replayed hardware).
@@ -31,7 +30,7 @@ pub enum AlarmKind {
 }
 
 /// The monitor's operational state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MonitorState {
     /// No fingerprint enrolled yet; all operations blocked.
     Uncalibrated,
@@ -42,7 +41,7 @@ pub enum MonitorState {
 }
 
 /// Events emitted by the monitor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MonitorEvent {
     /// Calibration completed and the fingerprint is stored.
     Calibrated,
@@ -67,7 +66,7 @@ pub enum MonitorEvent {
 }
 
 /// Monitor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// Measurements averaged at enrollment.
     pub enroll_count: usize,

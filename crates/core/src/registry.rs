@@ -12,7 +12,6 @@ use crate::channel::BusChannel;
 use crate::exec::ExecPolicy;
 use crate::fingerprint::{DecodeFingerprintError, Fingerprint};
 use crate::itdr::Itdr;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -22,7 +21,7 @@ const BANK_MAGIC: &[u8; 4] = b"DVTB";
 const BANK_VERSION: u8 = 1;
 
 /// One bus pairing: the fingerprints both ends enrolled at calibration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pairing {
     /// The master (CPU-side) view of the bus.
     pub master: Fingerprint,
@@ -117,7 +116,7 @@ impl From<DecodeFingerprintError> for DecodeBankError {
 }
 
 /// A named collection of bus pairings with an EPROM bank codec.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FingerprintRegistry {
     pairings: BTreeMap<String, Pairing>,
 }

@@ -10,10 +10,9 @@
 
 use crate::apc::TripCounter;
 use crate::itdr::ItdrConfig;
-use serde::{Deserialize, Serialize};
 
 /// One structural component of the iTDR datapath.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// Component name (as a floorplan label).
     pub name: String,
@@ -30,13 +29,13 @@ pub struct Component {
 }
 
 /// The resource model: a bill of structural components.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceModel {
     components: Vec<Component>,
 }
 
 /// LUT/FF capacity of an FPGA part.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FpgaPart {
     /// Device name.
     pub name: &'static str,

@@ -11,10 +11,9 @@
 use divot_dsp::similarity::{error_function, first_crossing, Peak};
 use divot_dsp::waveform::Waveform;
 use divot_txline::units::{round_trip_time_to_distance, Meters};
-use serde::{Deserialize, Serialize};
 
 /// Tamper-detection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TamperPolicy {
     /// Error-function threshold floor (V²). The paper's value: `5×10⁻⁷`.
     /// A deployment raises the *effective* threshold above its own
@@ -54,7 +53,7 @@ impl Default for TamperPolicy {
 }
 
 /// Coarse classification of a detected tamper from its error signature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TamperClass {
     /// Error concentrated at/after the termination echo with nothing
     /// upstream: the far-end load changed (Trojan chip / module swap /
@@ -69,7 +68,7 @@ pub enum TamperClass {
 }
 
 /// Result of one tamper scan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TamperReport {
     /// Whether any error sample exceeded the threshold.
     pub detected: bool,
@@ -106,7 +105,7 @@ impl TamperReport {
 }
 
 /// The tamper detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TamperDetector {
     policy: TamperPolicy,
 }

@@ -7,10 +7,9 @@
 
 use crate::itdr::ItdrConfig;
 use crate::trigger::TriggerSource;
-use serde::{Deserialize, Serialize};
 
 /// Timing analysis of one iTDR deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// Where probe triggers come from.
     pub source: TriggerSource,

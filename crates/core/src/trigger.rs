@@ -8,10 +8,9 @@
 //! data.
 
 use divot_analog::linecode::{expected_trigger_density, ClockLane, LineCode};
-use serde::{Deserialize, Serialize};
 
 /// Where an iTDR gets its probe triggers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TriggerSource {
     /// The bus clock lane: one trigger per clock cycle.
     ClockLane(ClockLane),

@@ -9,10 +9,8 @@
 //! * **FNR** = 1 − TPR,
 //! * **EER** = the rate where FPR = FNR.
 
-use serde::{Deserialize, Serialize};
-
 /// One operating point of a ROC curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RocPoint {
     /// Acceptance threshold (accept if score ≥ threshold).
     pub threshold: f64,
@@ -23,7 +21,7 @@ pub struct RocPoint {
 }
 
 /// A full ROC curve built from genuine and impostor score sets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RocCurve {
     points: Vec<RocPoint>,
     genuine_sorted: Vec<f64>,

@@ -9,7 +9,6 @@
 //!   `n₀` indicates a tamper at the corresponding location (time/distance).
 
 use crate::waveform::Waveform;
-use serde::{Deserialize, Serialize};
 
 /// Normalized inner-product similarity of two equal-length sample slices.
 ///
@@ -70,7 +69,7 @@ pub fn error_function(x: &Waveform, y: &Waveform) -> Waveform {
 }
 
 /// A local maximum of an error-function waveform that exceeds a threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Peak {
     /// Sample index of the peak.
     pub index: usize,

@@ -1,7 +1,5 @@
 //! Descriptive statistics: moments, summaries, histograms, percentiles.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean. Returns 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -106,7 +104,7 @@ pub fn trimmed_mean(xs: &[f64], trim: f64) -> Option<f64> {
 /// assert_eq!(acc.count(), 3);
 /// assert!((acc.mean() - 2.0).abs() < 1e-15);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Accumulator {
     count: u64,
     mean: f64,
@@ -209,7 +207,7 @@ impl FromIterator<f64> for Accumulator {
 }
 
 /// A compact statistical summary of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: u64,
@@ -251,7 +249,7 @@ impl std::fmt::Display for Summary {
 /// A fixed-range histogram with uniform bins.
 ///
 /// Used to regenerate the distribution plots of Fig. 7(a)/Fig. 8.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

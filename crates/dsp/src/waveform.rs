@@ -5,7 +5,6 @@
 //! them at equivalent-time instants), and the iTDR (which reconstructs
 //! IIPs). Samples are `f64` volts on a uniform time grid.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error produced by waveform operations on incompatible grids.
@@ -33,7 +32,7 @@ impl std::error::Error for GridMismatchError {}
 /// assert_eq!(w.len(), 100);
 /// assert!((w.duration() - 100e-12).abs() < 1e-24);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Waveform {
     t0: f64,
     dt: f64,

@@ -33,20 +33,18 @@
 //!   memoization behind the verify fast path. L1 is per-worker and
 //!   lock-free, L2 is shared; keys embed the store's enrollment
 //!   generation so re-enrollment invalidates without a cache walk.
-//! - [`wire`] — a length-prefixed binary protocol (v1 plain, v2
-//!   pipelined/enveloped) served over `std::net::TcpListener`, plus the
-//!   matching blocking clients ([`TcpFleetClient`],
-//!   [`PipelinedFleetClient`]). The in-process [`FleetClient`] and the
-//!   TCP path share one request/response vocabulary.
-//! - [`reactor`] — the event-driven server behind
-//!   [`FleetTcpServer::spawn`]: a single poll-based readiness loop
-//!   (via `divot-polling`) multiplexing 10k+ nonblocking connections
-//!   with request pipelining, round-robin fair admission,
-//!   cache-inline serving, device-coalesced batch submission, and
-//!   streaming `MonitorScan` subscriptions. The thread-per-connection
-//!   server survives as
-//!   [`FleetTcpServer::spawn_threaded`] — the
-//!   byte-equivalence reference.
+//! - [`wire`] — a length-prefixed binary protocol with one version:
+//!   id-tagged requests answered by enveloped replies in completion
+//!   order, plus the blocking [`PipelinedFleetClient`]. The in-process
+//!   [`FleetClient`] and the TCP path share one request/response
+//!   vocabulary.
+//! - [`reactor`] — the server behind [`FleetTcpServer::spawn`]: a
+//!   single poll-based readiness loop (via `divot-polling`)
+//!   multiplexing 10k+ nonblocking connections with request
+//!   pipelining, round-robin fair admission, cache-inline serving,
+//!   device-coalesced batch submission, and streaming `MonitorScan`
+//!   and stats subscriptions. A checked-in reply transcript
+//!   (`tests/golden/`) pins its bytes.
 //!
 //! # Determinism contract
 //!
@@ -108,4 +106,4 @@ pub use service::{
 };
 pub use sim::{subscription_nonce, Anomaly, FleetSimConfig, SimulatedFleet};
 pub use store::FleetStore;
-pub use wire::{FleetTcpServer, PipelinedFleetClient, TcpFleetClient, WireEvent, WireRequest};
+pub use wire::{FleetTcpServer, PipelinedFleetClient, WireEvent, WireRequest};

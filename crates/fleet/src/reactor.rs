@@ -18,13 +18,11 @@
 //!            └────────────────┘            └───────────────────────┘
 //! ```
 //!
-//! **Pipelining.** A v2 connection may hold up to
+//! **Pipelining.** A connection may hold up to
 //! [`ReactorConfig::pipeline_window`] requests in flight; replies are
 //! enveloped with the request id and stream back in completion order.
-//! v1 (plain) requests stay strictly serial per connection — admitted
-//! only when the connection has no plain request in flight — so the
-//! reactor's byte stream for a v1 conversation is identical to the
-//! threaded server's.
+//! A frame that cannot be framed or decoded has no id: it is answered
+//! with a bare error frame.
 //!
 //! **Inline serving and coalescing.** Before paying a worker-pool round
 //! trip, each admission probes the shared verdict cache
@@ -42,7 +40,7 @@
 //! ([`ReactorConfig::admission_timeout`]) expires under saturation is
 //! shed with [`ShedReason::FairShare`].
 //!
-//! **Subscriptions.** A v2 client may register streaming `MonitorScan`
+//! **Subscriptions.** A client may register streaming `MonitorScan`
 //! subscriptions: the reactor pushes one scan frame per interval, each
 //! acquired under [`subscription_nonce`]`(base, seq)` — bitwise what an
 //! explicit scan with that nonce returns — until the frame budget
@@ -123,18 +121,10 @@ impl Default for ReactorConfig {
     }
 }
 
-/// Where a parked request came from, deciding its reply encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ParkedOrigin {
-    /// v1: bare response, strictly serial per connection.
-    Plain,
-    /// v2: enveloped reply carrying the id, completion-ordered.
-    Tagged(u64),
-}
-
 /// A decoded request waiting for admission.
 struct Parked {
-    origin: ParkedOrigin,
+    /// The id its enveloped reply carries back.
+    id: u64,
     request: Request,
     deadline: Option<Duration>,
     since: Instant,
@@ -143,7 +133,7 @@ struct Parked {
 /// Who gets one completed outcome.
 #[derive(Debug, Clone, Copy)]
 enum WaiterOrigin {
-    Plain,
+    /// A tagged request (`id` is the request id).
     Tagged(u64),
     /// A subscription push (`id` is the subscription id).
     Push(u64),
@@ -172,9 +162,6 @@ struct Conn {
     parked: VecDeque<Parked>,
     /// Requests in flight in the service on behalf of this connection.
     inflight: usize,
-    /// A v1 plain request is in flight: no further plain admissions
-    /// until its reply is written (serial v1 semantics).
-    plain_busy: bool,
     /// Finish flushing, then close (post-protocol-error teardown).
     closing: bool,
     dead: bool,
@@ -191,7 +178,6 @@ impl Conn {
             wstart: 0,
             parked: VecDeque::new(),
             inflight: 0,
-            plain_busy: false,
             closing: false,
             dead: false,
             want_write: false,
@@ -308,7 +294,6 @@ fn coalesce_key(request: &Request) -> Option<CoalesceKey> {
         Request::Verify { device, nonce } => Some((0, device.clone(), *nonce)),
         Request::MonitorScan { device, nonce } => Some((1, device.clone(), *nonce)),
         Request::Enroll { .. }
-        | Request::EnrollBatch { .. }
         | Request::CohortEnroll { .. }
         | Request::IntakeScan { .. }
         | Request::RegistrySnapshot
@@ -511,20 +496,16 @@ impl Reactor {
         match decoded {
             Err(e) => {
                 // A malformed payload in a well-framed stream gets a
-                // typed error reply and the connection lives on —
-                // matching the threaded server.
+                // bare typed error reply and the connection lives on.
                 divot_telemetry::inc("fleet.reactor.protocol_errors");
                 self.write_to(key, &encode_response(&Err(e)));
-            }
-            Ok(WireRequest::Plain { request, deadline }) => {
-                self.park(key, ParkedOrigin::Plain, request, deadline, now);
             }
             Ok(WireRequest::Tagged {
                 id,
                 request,
                 deadline,
             }) => {
-                self.park(key, ParkedOrigin::Tagged(id), request, deadline, now);
+                self.park(key, id, request, deadline, now);
             }
             Ok(WireRequest::Subscribe {
                 id,
@@ -574,53 +555,34 @@ impl Reactor {
     }
 
     /// Queue one decoded request for admission — serving it inline
-    /// right away when the verdict cache already holds the answer and
-    /// ordering allows.
+    /// right away when it is a stats probe or the verdict cache already
+    /// holds the answer.
     fn park(
         &mut self,
         key: usize,
-        origin: ParkedOrigin,
+        id: u64,
         request: Request,
         deadline: Option<Duration>,
         now: Instant,
     ) {
-        let inline_ok = {
-            let Some(conn) = self.conns.get(&key) else {
-                return;
+        if !self.conns.contains_key(&key) {
+            return;
+        }
+        // Stats are a health probe: answered on the reactor thread from
+        // the registry snapshot, never queued behind a saturated worker
+        // pool.
+        if matches!(request, Request::Stats) {
+            divot_telemetry::inc("fleet.reactor.inline_stats");
+            let response = Response::StatsSnapshot {
+                stats: self.client.stats(),
             };
-            match origin {
-                // Tagged replies are completion-ordered: always fine.
-                ParkedOrigin::Tagged(_) => true,
-                // Plain replies are serial: only when nothing earlier
-                // is outstanding or parked.
-                ParkedOrigin::Plain => !conn.plain_busy && conn.parked.is_empty(),
-            }
-        };
-        if inline_ok {
-            // Stats are a health probe: answered on the reactor thread
-            // from the registry snapshot, never queued behind a
-            // saturated worker pool.
-            if matches!(request, Request::Stats) {
-                divot_telemetry::inc("fleet.reactor.inline_stats");
-                let response = Response::StatsSnapshot {
-                    stats: self.client.stats(),
-                };
-                let frame = match origin {
-                    ParkedOrigin::Plain => encode_response(&Ok(response)),
-                    ParkedOrigin::Tagged(id) => encode_tagged_response(id, &Ok(response)),
-                };
-                self.write_to(key, &frame);
-                return;
-            }
-            if let Some(response) = self.client.try_cached(&request) {
-                divot_telemetry::inc("fleet.reactor.inline_hits");
-                let frame = match origin {
-                    ParkedOrigin::Plain => encode_response(&Ok(response)),
-                    ParkedOrigin::Tagged(id) => encode_tagged_response(id, &Ok(response)),
-                };
-                self.write_to(key, &frame);
-                return;
-            }
+            self.write_to(key, &encode_tagged_response(id, &Ok(response)));
+            return;
+        }
+        if let Some(response) = self.client.try_cached(&request) {
+            divot_telemetry::inc("fleet.reactor.inline_hits");
+            self.write_to(key, &encode_tagged_response(id, &Ok(response)));
+            return;
         }
         let parked_cap = self.config.parked_capacity;
         let shed = {
@@ -631,7 +593,7 @@ impl Reactor {
                 Some(conn.parked.len())
             } else {
                 conn.parked.push_back(Parked {
-                    origin,
+                    id,
                     request,
                     deadline,
                     since: now,
@@ -646,11 +608,7 @@ impl Reactor {
                     capacity: parked_cap,
                     reason: ShedReason::QueueFull,
                 };
-                let frame = match origin {
-                    ParkedOrigin::Plain => encode_response(&Err(err)),
-                    ParkedOrigin::Tagged(id) => encode_tagged_response(id, &Err(err)),
-                };
-                self.write_to(key, &frame);
+                self.write_to(key, &encode_tagged_response(id, &Err(err)));
             }
             None => {
                 self.parked_conns.insert(key);
@@ -694,14 +652,10 @@ impl Reactor {
                         {
                             break;
                         }
-                        let Some(front) = conn.parked.front() else {
+                        let Some(p) = conn.parked.pop_front() else {
                             self.parked_conns.remove(&key);
                             break;
                         };
-                        if matches!(front.origin, ParkedOrigin::Plain) && conn.plain_busy {
-                            break;
-                        }
-                        let p = conn.parked.pop_front().expect("front exists");
                         if conn.parked.is_empty() {
                             self.parked_conns.remove(&key);
                         }
@@ -714,17 +668,10 @@ impl Reactor {
                     // since this request was parked.
                     if let Some(response) = self.client.try_cached(&popped.request) {
                         divot_telemetry::inc("fleet.reactor.inline_hits");
-                        let frame = match popped.origin {
-                            ParkedOrigin::Plain => encode_response(&Ok(response)),
-                            ParkedOrigin::Tagged(id) => encode_tagged_response(id, &Ok(response)),
-                        };
-                        self.write_to(key, &frame);
+                        self.write_to(key, &encode_tagged_response(popped.id, &Ok(response)));
                         continue;
                     }
-                    let waiter_origin = match popped.origin {
-                        ParkedOrigin::Plain => WaiterOrigin::Plain,
-                        ParkedOrigin::Tagged(id) => WaiterOrigin::Tagged(id),
-                    };
+                    let waiter_origin = WaiterOrigin::Tagged(popped.id);
                     // Coalesce onto an identical in-service request.
                     let ckey = coalesce_key(&popped.request);
                     if let Some(token) = ckey.as_ref().and_then(|k| self.pending.get(k)) {
@@ -737,11 +684,7 @@ impl Reactor {
                                 conn: key,
                                 origin: waiter_origin,
                             });
-                        let conn = self.conns.get_mut(&key).expect("conn exists");
-                        conn.inflight += 1;
-                        if matches!(popped.origin, ParkedOrigin::Plain) {
-                            conn.plain_busy = true;
-                        }
+                        self.conns.get_mut(&key).expect("conn exists").inflight += 1;
                         continue;
                     }
                     // Fresh: stage for the batched submit.
@@ -759,9 +702,6 @@ impl Reactor {
                     );
                     let conn = self.conns.get_mut(&key).expect("conn exists");
                     conn.inflight += 1;
-                    if matches!(popped.origin, ParkedOrigin::Plain) {
-                        conn.plain_busy = true;
-                    }
                     divot_telemetry::observe("fleet.reactor.pipeline_depth", conn.inflight as f64);
                     staged.push((token, key, popped));
                 }
@@ -805,14 +745,10 @@ impl Reactor {
                     }
                 }
                 Err(err) => {
-                    // Roll the staging back: budget, serialization,
-                    // token bookkeeping.
+                    // Roll the staging back: budget and token bookkeeping.
                     self.tokens.remove(&token);
                     if let Some(conn) = self.conns.get_mut(&key) {
                         conn.inflight = conn.inflight.saturating_sub(1);
-                        if matches!(parked.origin, ParkedOrigin::Plain) {
-                            conn.plain_busy = false;
-                        }
                     }
                     if matches!(
                         err,
@@ -826,11 +762,7 @@ impl Reactor {
                     } else {
                         // ShuttingDown and other hard failures go
                         // straight back to the caller.
-                        let frame = match parked.origin {
-                            ParkedOrigin::Plain => encode_response(&Err(err)),
-                            ParkedOrigin::Tagged(id) => encode_tagged_response(id, &Err(err)),
-                        };
-                        self.write_to(key, &frame);
+                        self.write_to(key, &encode_tagged_response(parked.id, &Err(err)));
                     }
                 }
             }
@@ -879,11 +811,7 @@ impl Reactor {
                     capacity: self.client.queue_capacity(),
                     reason: ShedReason::FairShare,
                 };
-                let frame = match p.origin {
-                    ParkedOrigin::Plain => encode_response(&Err(err)),
-                    ParkedOrigin::Tagged(id) => encode_tagged_response(id, &Err(err)),
-                };
-                self.write_to(key, &frame);
+                self.write_to(key, &encode_tagged_response(p.id, &Err(err)));
             }
         }
     }
@@ -1125,13 +1053,6 @@ impl Reactor {
         }
         for waiter in state.waiters {
             match waiter.origin {
-                WaiterOrigin::Plain => {
-                    if let Some(conn) = self.conns.get_mut(&waiter.conn) {
-                        conn.inflight = conn.inflight.saturating_sub(1);
-                        conn.plain_busy = false;
-                    }
-                    self.write_to(waiter.conn, &encode_response(&outcome));
-                }
                 WaiterOrigin::Tagged(id) => {
                     if let Some(conn) = self.conns.get_mut(&waiter.conn) {
                         conn.inflight = conn.inflight.saturating_sub(1);

@@ -59,18 +59,6 @@ pub enum Request {
         /// Enrollment noise stream selector.
         nonce: u64,
     },
-    /// Enroll a whole cohort in one request: every `(device, nonce)`
-    /// row is enrolled exactly as a standalone [`Request::Enroll`] with
-    /// that nonce would be (bitwise-identical pairings, thresholds, and
-    /// store state), but the service amortizes the cold path — one
-    /// engine warm-up fan-out, batched clean acquisitions, one
-    /// threshold-map write lock, and one store pass per touched shard.
-    /// Admission is all-or-nothing: one unknown device fails the whole
-    /// batch before any enrollment happens.
-    EnrollBatch {
-        /// `(device id, enrollment nonce)` rows, enrolled in order.
-        devices: Vec<(String, u64)>,
-    },
     /// Authenticate a device against its stored fingerprint.
     Verify {
         /// Device id.
@@ -119,7 +107,6 @@ impl Request {
     pub fn kind(&self) -> &'static str {
         match self {
             Self::Enroll { .. } => "enroll",
-            Self::EnrollBatch { .. } => "enroll_batch",
             Self::Verify { .. } => "verify",
             Self::MonitorScan { .. } => "scan",
             Self::CohortEnroll { .. } => "cohort_enroll",
@@ -135,7 +122,6 @@ impl Request {
     pub fn latency_metric(&self) -> &'static str {
         match self {
             Self::Enroll { .. } => "fleet.request.latency.enroll",
-            Self::EnrollBatch { .. } => "fleet.request.latency.enroll_batch",
             Self::Verify { .. } => "fleet.request.latency.verify",
             Self::MonitorScan { .. } => "fleet.request.latency.scan",
             Self::CohortEnroll { .. } => "fleet.request.latency.cohort_enroll",
@@ -165,9 +151,7 @@ impl Request {
             Self::Enroll { device, nonce }
             | Self::Verify { device, nonce }
             | Self::MonitorScan { device, nonce } => Some(fnv(device) ^ nonce),
-            Self::EnrollBatch { devices }
-            | Self::CohortEnroll { devices }
-            | Self::IntakeScan { devices } => {
+            Self::CohortEnroll { devices } | Self::IntakeScan { devices } => {
                 devices.first().map(|(device, nonce)| fnv(device) ^ nonce)
             }
             Self::RegistrySnapshot | Self::Stats => None,
@@ -191,12 +175,6 @@ pub enum Response {
         device: String,
         /// The shard the pairing landed on.
         shard: u32,
-    },
-    /// Every device of an [`Request::EnrollBatch`] is enrolled and its
-    /// pairing persisted in the store.
-    EnrolledBatch {
-        /// `(device, shard)` rows in request order.
-        devices: Vec<(String, u32)>,
     },
     /// The outcome of a verify.
     Verdict {
@@ -748,9 +726,6 @@ impl ServiceInner {
     fn note_outcome(&self, response: &Response) {
         match response {
             Response::Enrolled { .. } => divot_telemetry::inc("fleet.enrolls"),
-            Response::EnrolledBatch { devices } => {
-                divot_telemetry::add("fleet.enrolls", devices.len() as u64);
-            }
             Response::Verdict { accepted, .. } => divot_telemetry::inc(if *accepted {
                 "fleet.verify.accepts"
             } else {
@@ -796,7 +771,6 @@ impl ServiceInner {
                 self.verdict_key(VerdictKind::Scan, device, *nonce)
             }
             Request::Enroll { .. }
-            | Request::EnrollBatch { .. }
             | Request::CohortEnroll { .. }
             | Request::IntakeScan { .. }
             | Request::RegistrySnapshot
@@ -865,56 +839,6 @@ impl ServiceInner {
                     shard: self.store.shard_of(device) as u32,
                 })
             }
-            Request::EnrollBatch { devices } => {
-                let policy = ExecPolicy::auto();
-                // All-or-nothing: `enroll_batch` refuses the whole batch
-                // when any row names an unknown device, before enrolling
-                // anything.
-                let pairings = self
-                    .sim
-                    .enroll_batch(devices, policy)
-                    .ok_or_else(|| self.missing_device(devices))?;
-                // One batched acquisition covers every device's clean
-                // calibration window (the same four derived nonces a solo
-                // enroll uses), so the engine fan-out is paid once for
-                // the cohort instead of once per device.
-                let clean_items: Vec<(String, u64)> = devices
-                    .iter()
-                    .flat_map(|(name, nonce)| {
-                        (1..=4).map(|k| (name.clone(), mix_seed(*nonce, 0xCA11_B000 | k)))
-                    })
-                    .collect();
-                let cleans = self
-                    .sim
-                    .acquire_batch(&clean_items, policy)
-                    .expect("devices exist: enrolled above");
-                {
-                    let mut thresholds =
-                        self.thresholds.write().expect("threshold lock poisoned");
-                    for (i, ((name, _), pairing)) in devices.iter().zip(&pairings).enumerate() {
-                        let detector = TamperDetector::calibrated(
-                            self.config.tamper,
-                            pairing.master.iip(),
-                            &cleans[i * 4..i * 4 + 4],
-                            self.config.tamper_margin,
-                        );
-                        thresholds.insert(name.clone(), detector.policy().threshold);
-                    }
-                }
-                let rows: Vec<_> = devices
-                    .iter()
-                    .map(|(name, _)| name.clone())
-                    .zip(pairings)
-                    .collect();
-                let shards = self.store.register_batch(rows);
-                Ok(Response::EnrolledBatch {
-                    devices: devices
-                        .iter()
-                        .map(|(name, _)| name.clone())
-                        .zip(shards.into_iter().map(|s| s as u32))
-                        .collect(),
-                })
-            }
             Request::Verify { device, nonce } => {
                 let measured = self.acquire_with_retry(device, *nonce, trace, "verify")?;
                 let span = trace.map(|c| c.span("verify", "store_lock"));
@@ -958,8 +882,8 @@ impl ServiceInner {
             Request::CohortEnroll { devices } => {
                 let policy = ExecPolicy::auto();
                 let span = trace.map(|c| c.span("cohort_enroll", "acquire"));
-                // All-or-nothing, like EnrollBatch: an unknown device
-                // fails the batch before anything is acquired.
+                // All-or-nothing: an unknown device fails the batch
+                // before anything is acquired.
                 let fingerprints = self
                     .sim
                     .acquire_batch(devices, policy)
@@ -1289,7 +1213,6 @@ impl FleetClient {
                 self.inner.verdict_key(VerdictKind::Scan, device, *nonce)?
             }
             Request::Enroll { .. }
-            | Request::EnrollBatch { .. }
             | Request::CohortEnroll { .. }
             | Request::IntakeScan { .. }
             | Request::RegistrySnapshot
@@ -1394,83 +1317,6 @@ mod tests {
             Response::Snapshot { devices } => {
                 assert_eq!(devices.len(), 3);
                 assert_eq!(devices[0].0, "bus-000");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn batched_enrollment_matches_serial_enrolls() {
-        // One service enrolls device-by-device, the other takes the same
-        // rows as a single EnrollBatch: the registry, the calibrated
-        // thresholds, and every downstream verdict must be identical.
-        let serial = service(4, 2);
-        let batched = service(4, 2);
-        let sc = serial.client();
-        let bc = batched.client();
-        let rows: Vec<(String, u64)> = (0..4)
-            .map(|i| (SimulatedFleet::device_name(i), 30 + i as u64))
-            .collect();
-        for (device, nonce) in &rows {
-            sc.call(Request::Enroll {
-                device: device.clone(),
-                nonce: *nonce,
-            })
-            .unwrap();
-        }
-        match bc
-            .call(Request::EnrollBatch {
-                devices: rows.clone(),
-            })
-            .unwrap()
-        {
-            Response::EnrolledBatch { devices } => {
-                assert_eq!(devices.len(), rows.len(), "one row per request row");
-                for ((name, _), (reported, shard)) in rows.iter().zip(&devices) {
-                    assert_eq!(name, reported, "rows come back in request order");
-                    assert_eq!(
-                        *shard as usize,
-                        batched.inner.store.shard_of(name),
-                        "reported shard must match the store's placement"
-                    );
-                }
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Verify and scan are pure functions of the stored pairing and the
-        // calibrated threshold, so identical responses prove identical
-        // registry state.
-        for (device, _) in &rows {
-            let verify = Request::Verify {
-                device: device.clone(),
-                nonce: 900,
-            };
-            assert_eq!(sc.call(verify.clone()).unwrap(), bc.call(verify).unwrap());
-            let scan = Request::MonitorScan {
-                device: device.clone(),
-                nonce: 901,
-            };
-            assert_eq!(sc.call(scan.clone()).unwrap(), bc.call(scan).unwrap());
-        }
-        assert_eq!(
-            sc.call(Request::RegistrySnapshot).unwrap(),
-            bc.call(Request::RegistrySnapshot).unwrap()
-        );
-    }
-
-    #[test]
-    fn enroll_batch_with_unknown_device_enrolls_nothing() {
-        let svc = service(2, 1);
-        let client = svc.client();
-        let err = client
-            .call(Request::EnrollBatch {
-                devices: vec![("bus-000".into(), 1), ("bus-777".into(), 1)],
-            })
-            .unwrap_err();
-        assert_eq!(err, FleetError::UnknownDevice("bus-777".into()));
-        match client.call(Request::RegistrySnapshot).unwrap() {
-            Response::Snapshot { devices } => {
-                assert!(devices.is_empty(), "all-or-nothing: no partial enrollment");
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -391,50 +391,21 @@ impl SimulatedFleet {
         ))
     }
 
-    /// Batched calibration enrollment: enroll every `(name, nonce)` item,
-    /// fanning whole devices across `policy` (each device's own
-    /// acquisition stays serial inside its work item, so fan-outs never
-    /// nest). Distinct devices are warmed up front under the same policy,
-    /// so a cold cohort's scattering-engine runs parallelize instead of
-    /// serializing behind per-device `OnceLock` waits.
+    /// Batched runtime acquisition: one averaged master-end IIP per
+    /// `(name, nonce)` item, fanning whole devices across `policy` (each
+    /// device's own acquisition stays serial inside its work item, so
+    /// fan-outs never nest). Distinct devices are warmed up front under
+    /// the same policy, so a cold cohort's scattering-engine runs
+    /// parallelize instead of serializing behind per-device `OnceLock`
+    /// waits.
     ///
-    /// Entry `i` is bitwise identical to `enroll(&items[i].0,
+    /// Entry `i` is bitwise identical to `acquire(&items[i].0,
     /// items[i].1)` run solo — each item's answer is a pure function of
     /// the request — so batching (and the policy) is a scheduling choice,
     /// never a semantic one.
     ///
     /// Returns `None` if *any* name is unknown; the batch is
     /// all-or-nothing and nothing is acquired in that case.
-    pub fn enroll_batch(
-        &self,
-        items: &[(String, u64)],
-        policy: ExecPolicy,
-    ) -> Option<Vec<Pairing>> {
-        let idx: Vec<usize> = items
-            .iter()
-            .map(|(n, _)| self.device_index(n))
-            .collect::<Option<_>>()?;
-        self.warm_all(&idx, policy);
-        Some(policy.run_indexed(items.len(), |k| {
-            let i = idx[k];
-            let device = &self.devices[i];
-            let nonce = items[k].1;
-            let mut master = self.channel(device, i, MASTER_DOMAIN, nonce);
-            let mut slave = self.channel(device, i, SLAVE_DOMAIN, nonce);
-            Pairing::enroll_with(
-                &self.itdr,
-                &mut master,
-                &mut slave,
-                self.config.enroll_count,
-                ExecPolicy::Serial,
-            )
-        }))
-    }
-
-    /// Batched runtime acquisition: one averaged master-end IIP per
-    /// `(name, nonce)` item, with the same fan-out, bitwise-equivalence,
-    /// and all-or-nothing contract as [`enroll_batch`](Self::enroll_batch)
-    /// (entry `i` matches `acquire` run solo).
     pub fn acquire_batch(
         &self,
         items: &[(String, u64)],
@@ -632,24 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_enrollment_matches_solo_bitwise() {
-        let f = fleet(3);
-        let items: Vec<(String, u64)> = [(0usize, 7u64), (2, 9), (1, 7), (0, 11)]
-            .iter()
-            .map(|&(i, nonce)| (SimulatedFleet::device_name(i), nonce))
-            .collect();
-        for policy in [ExecPolicy::Serial, ExecPolicy::Parallel] {
-            let batch = f.enroll_batch(&items, policy).unwrap();
-            assert_eq!(batch.len(), items.len());
-            for (k, (name, nonce)) in items.iter().enumerate() {
-                let solo = f.enroll(name, *nonce).unwrap();
-                assert_eq!(batch[k].master, solo.master, "{name}/{nonce}");
-                assert_eq!(batch[k].slave, solo.slave, "{name}/{nonce}");
-            }
-        }
-    }
-
-    #[test]
     fn batched_acquisition_matches_solo_bitwise() {
         let f = fleet(2);
         let items: Vec<(String, u64)> = vec![
@@ -673,7 +626,6 @@ mod tests {
             (SimulatedFleet::device_name(0), 1u64),
             ("bus-999".to_string(), 2),
         ];
-        assert!(f.enroll_batch(&items, ExecPolicy::Serial).is_none());
         assert!(f.acquire_batch(&items, ExecPolicy::Serial).is_none());
     }
 

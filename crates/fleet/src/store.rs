@@ -132,39 +132,6 @@ impl FleetStore {
         prev
     }
 
-    /// Store a whole batch of pairings, grouped by shard: each touched
-    /// shard's write lock is taken exactly once and its enrollment
-    /// generation advances exactly once per batch — not once per insert —
-    /// so a 1k-board cohort intake invalidates memoized verdicts once per
-    /// shard rather than a thousand times. Within a shard, items land in
-    /// batch order (a later duplicate wins, matching what serial
-    /// [`register`](Self::register) calls would leave behind). Returns
-    /// each item's shard index, in item order.
-    pub fn register_batch(&self, items: Vec<(String, Pairing)>) -> Vec<usize> {
-        let mut shards_of = Vec::with_capacity(items.len());
-        let mut by_shard: Vec<Vec<(String, Pairing)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (name, pairing) in items {
-            let shard = self.shard_of(&name);
-            shards_of.push(shard);
-            by_shard[shard].push((name, pairing));
-        }
-        for (shard, group) in by_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let mut guard = self.shards[shard].write().expect("shard lock poisoned");
-            let t0 = Instant::now();
-            for (name, pairing) in group {
-                guard.register(&name, pairing);
-            }
-            drop(guard);
-            self.note_write_hold(shard, t0.elapsed());
-            self.generations[shard].fetch_add(1, Ordering::Release);
-        }
-        shards_of
-    }
-
     /// Run `f` on the stored pairing of `device` under the shard's read
     /// lock; `None` when the device is not enrolled. Lending instead of
     /// cloning keeps verify's hot path free of fingerprint copies.
@@ -319,49 +286,6 @@ mod tests {
         assert!(store.remove("bus-7").is_some());
         assert!(store.remove("bus-7").is_none());
         assert_eq!(store.len(), 11);
-    }
-
-    #[test]
-    fn register_batch_matches_serial_registers() {
-        let batch_store = FleetStore::new(4);
-        let serial_store = FleetStore::new(4);
-        let items: Vec<(String, Pairing)> = (0..12)
-            .map(|i| (format!("bus-{i:03}"), pairing(1e-3 * (i + 1) as f64)))
-            .collect();
-        for (name, p) in &items {
-            serial_store.register(name, p.clone());
-        }
-        let shards = batch_store.register_batch(items.clone());
-        assert_eq!(shards.len(), items.len());
-        for (k, (name, p)) in items.iter().enumerate() {
-            assert_eq!(shards[k], batch_store.shard_of(name));
-            let stored = batch_store.with_pairing(name, |q| q.clone()).unwrap();
-            assert_eq!(&stored, p);
-        }
-        assert_eq!(batch_store.device_names(), serial_store.device_names());
-    }
-
-    #[test]
-    fn register_batch_bumps_generation_once_per_touched_shard() {
-        let store = FleetStore::new(4);
-        let items: Vec<(String, Pairing)> = (0..12)
-            .map(|i| (format!("bus-{i:03}"), pairing(1e-3)))
-            .collect();
-        store.register_batch(items.clone());
-        // Twelve inserts landed, but each touched shard advanced exactly
-        // one generation.
-        for (name, _) in &items {
-            assert_eq!(store.generation(name), 1, "{name}");
-        }
-        // A later duplicate in the same batch wins, like serial inserts.
-        let dup = vec![
-            ("bus-000".to_string(), pairing(2e-3)),
-            ("bus-000".to_string(), pairing(5e-3)),
-        ];
-        store.register_batch(dup);
-        let stored = store.with_pairing("bus-000", |p| p.clone()).unwrap();
-        assert_eq!(stored, pairing(5e-3));
-        assert_eq!(store.generation("bus-000"), 2);
     }
 
     #[test]

@@ -2,38 +2,34 @@
 //!
 //! Framing: every message is `u32` little-endian payload length followed
 //! by the payload; payloads are capped at [`MAX_FRAME`] so a corrupt
-//! length cannot allocate unboundedly. Request payloads carry a version
-//! byte, a deadline in milliseconds (`0` = server default), a tag, and
-//! tag-specific fields; response payloads carry a status byte (`0` ok,
-//! else a [`FleetError::code`]) and the body. Strings are `u16` length +
-//! UTF-8; `f64`s travel as IEEE-754 bit patterns. No serialization
-//! dependency, no allocation beyond the payload buffers.
+//! length cannot allocate unboundedly. Strings are `u16` length + UTF-8;
+//! `f64`s travel as IEEE-754 bit patterns. No serialization dependency,
+//! no allocation beyond the payload buffers.
 //!
-//! Two protocol versions share the framing:
+//! Every request payload starts with the version byte [`WIRE_VERSION`]
+//! and a kind byte. A tagged request then carries a client-chosen id, a
+//! deadline in milliseconds (`0` = server default), a request tag, and
+//! tag-specific fields. Replies come back as [`ENVELOPE`]-marked events
+//! carrying the id, in *completion* order, so many requests ride one
+//! connection concurrently ([`PipelinedFleetClient`]). The reply body is
+//! a status byte (`0` ok, else a [`FleetError::code`]) and the response
+//! or error fields. Streaming `MonitorScan` and stats subscriptions push
+//! frames on an interval until the frame budget runs out or the client
+//! unsubscribes.
 //!
-//! - **v1** ([`WIRE_VERSION`]): one plain request per frame, bare
-//!   responses in request order — the [`TcpFleetClient`] contract.
-//! - **v2** ([`WIRE_VERSION_PIPELINED`]): requests carry a client-chosen
-//!   id; responses come back as [`ENVELOPE`]-marked events in
-//!   *completion* order, so many requests ride one connection
-//!   concurrently ([`PipelinedFleetClient`]). v2 also adds streaming
-//!   `MonitorScan` subscriptions: the server pushes scan frames on an
-//!   interval until the frame budget runs out or the client
-//!   unsubscribes.
+//! A frame the server cannot frame or decode has no id to answer under:
+//! it gets a bare status-byte error frame ([`WireEvent::Error`]).
 //!
-//! The TCP servers are thin adapters over the same in-process
-//! [`FleetClient`] every local caller uses, so the wire path exercises
-//! exactly the admission, deadline, and retry machinery of
-//! [`crate::service`]. [`FleetTcpServer::spawn`] runs the poll-based
-//! reactor ([`crate::reactor`]); [`FleetTcpServer::spawn_threaded`] is
-//! the original thread-per-connection transport, kept as the
-//! byte-equivalence reference.
+//! [`FleetTcpServer`] runs the poll-based reactor ([`crate::reactor`]),
+//! a thin adapter over the same in-process [`FleetClient`] every local
+//! caller uses, so the wire path exercises exactly the admission,
+//! deadline, and retry machinery of [`crate::service`].
 
 use crate::error::{FleetError, ShedReason};
 use crate::service::{FleetClient, FleetStats, IntakeReport, Request, Response};
 use divot_cohort::Verdict;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -42,19 +38,15 @@ use std::time::Duration;
 /// Maximum frame payload accepted (1 MiB): snapshots of thousands of
 /// devices fit with room to spare.
 pub const MAX_FRAME: usize = 1 << 20;
-/// Wire protocol version 1: one plain request per frame, responses in
-/// request order.
-pub const WIRE_VERSION: u8 = 1;
-/// Wire protocol version 2: pipelined — requests carry a client-chosen
-/// id, responses come back as enveloped events in completion order, and
-/// connections may hold streaming scan subscriptions.
-pub const WIRE_VERSION_PIPELINED: u8 = 2;
+/// The wire protocol version: requests carry a client-chosen id,
+/// responses come back as enveloped events in completion order, and
+/// connections may hold streaming subscriptions.
+pub const WIRE_VERSION: u8 = 2;
 
 const TAG_ENROLL: u8 = 1;
 const TAG_VERIFY: u8 = 2;
 const TAG_SCAN: u8 = 3;
 const TAG_SNAPSHOT: u8 = 4;
-const TAG_ENROLL_BATCH: u8 = 5;
 const TAG_STATS: u8 = 6;
 const TAG_COHORT_ENROLL: u8 = 7;
 const TAG_INTAKE: u8 = 8;
@@ -63,24 +55,22 @@ const RESP_ENROLLED: u8 = 1;
 const RESP_VERDICT: u8 = 2;
 const RESP_SCAN: u8 = 3;
 const RESP_SNAPSHOT: u8 = 4;
-const RESP_ENROLLED_BATCH: u8 = 5;
 const RESP_STATS: u8 = 6;
 const RESP_COHORT_MODEL: u8 = 7;
 const RESP_INTAKE: u8 = 8;
 
-/// v2 request kinds (byte after the version byte).
-const REQ2_TAGGED: u8 = 1;
-const REQ2_SUBSCRIBE: u8 = 2;
-const REQ2_UNSUBSCRIBE: u8 = 3;
-const REQ2_STATS_SUBSCRIBE: u8 = 4;
+/// Request kinds (byte after the version byte).
+const KIND_TAGGED: u8 = 1;
+const KIND_SUBSCRIBE: u8 = 2;
+const KIND_UNSUBSCRIBE: u8 = 3;
+const KIND_STATS_SUBSCRIBE: u8 = 4;
 
-/// First byte of every enveloped (v2) server→client frame. Plain v1
-/// responses start with a status byte (`0` or a small
-/// [`FleetError::code`]), so the envelope marker makes the two stream
-/// formats self-distinguishing even on a mixed connection.
+/// First byte of every enveloped server→client frame. A bare
+/// connection-level error frame starts with its status byte (a small
+/// [`FleetError::code`]) instead, so the two are self-distinguishing.
 pub const ENVELOPE: u8 = 0xE2;
 
-/// v2 event kinds (byte after the envelope marker).
+/// Event kinds (byte after the envelope marker).
 const EV_REPLY: u8 = 1;
 const EV_SUB_ACK: u8 = 2;
 const EV_SCAN_FRAME: u8 = 3;
@@ -102,27 +92,6 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
-}
-
-/// Read one length-prefixed frame.
-///
-/// # Errors
-///
-/// Propagates I/O errors (including clean EOF as `UnexpectedEof`);
-/// rejects frames over [`MAX_FRAME`].
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds MAX_FRAME"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(payload)
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -186,38 +155,8 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Encode a request plus its deadline (`None` = server default).
-pub fn encode_request(request: &Request, deadline: Option<Duration>) -> Vec<u8> {
-    let mut out = vec![WIRE_VERSION];
-    let ms = deadline.map_or(0, |d| d.as_millis().min(u128::from(u32::MAX)) as u32);
-    out.extend_from_slice(&ms.to_le_bytes());
-    put_request_body(&mut out, request);
-    out
-}
-
-/// Decode a request payload into the request and its deadline
-/// (`None` = server default).
-///
-/// # Errors
-///
-/// Returns [`FleetError::Protocol`] on version mismatch, unknown tags,
-/// truncation, or trailing bytes.
-pub fn decode_request(payload: &[u8]) -> Result<(Request, Option<Duration>), FleetError> {
-    let mut c = Cursor::new(payload);
-    let version = c.u8()?;
-    if version != WIRE_VERSION {
-        return Err(FleetError::Protocol(format!(
-            "unsupported wire version {version}"
-        )));
-    }
-    let ms = c.u32()?;
-    let deadline = (ms > 0).then(|| Duration::from_millis(u64::from(ms)));
-    let request = take_request_body(&mut c)?;
-    c.finish()?;
-    Ok((request, deadline))
-}
-
-/// Encode a service outcome (success or typed error).
+/// Encode a service outcome (success or typed error): the body of every
+/// reply event, and on its own a bare connection-level error frame.
 pub fn encode_response(outcome: &Result<Response, FleetError>) -> Vec<u8> {
     let mut out = Vec::new();
     match outcome {
@@ -259,14 +198,6 @@ pub fn encode_response(outcome: &Result<Response, FleetError>) -> Vec<u8> {
                 }
                 Response::Snapshot { devices } => {
                     out.push(RESP_SNAPSHOT);
-                    out.extend_from_slice(&(devices.len() as u32).to_le_bytes());
-                    for (name, shard) in devices {
-                        put_str(&mut out, name);
-                        out.extend_from_slice(&shard.to_le_bytes());
-                    }
-                }
-                Response::EnrolledBatch { devices } => {
-                    out.push(RESP_ENROLLED_BATCH);
                     out.extend_from_slice(&(devices.len() as u32).to_le_bytes());
                     for (name, shard) in devices {
                         put_str(&mut out, name);
@@ -357,7 +288,7 @@ pub fn encode_response(outcome: &Result<Response, FleetError>) -> Vec<u8> {
 /// *typed* service error comes back as `Ok(Err(...))`'s inner value —
 /// i.e. the function returns `Err` with the decoded error, which is the
 /// outcome the server reported).
-pub fn decode_response(payload: &[u8]) -> Result<Response, FleetError> {
+fn decode_response(payload: &[u8]) -> Result<Response, FleetError> {
     let mut c = Cursor::new(payload);
     let status = c.u8()?;
     if status != 0 {
@@ -405,15 +336,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, FleetError> {
                 devices.push((name, c.u32()?));
             }
             Response::Snapshot { devices }
-        }
-        RESP_ENROLLED_BATCH => {
-            let n = c.u32()? as usize;
-            let mut devices = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let name = c.string()?;
-                devices.push((name, c.u32()?));
-            }
-            Response::EnrolledBatch { devices }
         }
         RESP_COHORT_MODEL => Response::CohortModel {
             cohort_size: c.u32()?,
@@ -473,23 +395,10 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, FleetError> {
     Ok(response)
 }
 
-// ---------------------------------------------------------------------
-// v2: pipelined requests, enveloped events, streaming subscriptions.
-// ---------------------------------------------------------------------
-
-/// Any request frame a server connection can receive, across both wire
-/// versions.
+/// Any request frame a server connection can receive.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireRequest {
-    /// A v1 request: unpipelined, answered in arrival order with a bare
-    /// response frame.
-    Plain {
-        /// The request.
-        request: Request,
-        /// Explicit deadline, `None` = server default.
-        deadline: Option<Duration>,
-    },
-    /// A v2 pipelined request: answered with an enveloped reply carrying
+    /// A pipelined request: answered with an enveloped reply carrying
     /// `id` back, in completion (not arrival) order.
     Tagged {
         /// Client-chosen correlation id.
@@ -538,9 +447,9 @@ pub enum WireRequest {
     },
 }
 
-/// Encode a v2 tagged request.
+/// Encode a tagged request plus its deadline (`None` = server default).
 pub fn encode_request_tagged(id: u64, request: &Request, deadline: Option<Duration>) -> Vec<u8> {
-    let mut out = vec![WIRE_VERSION_PIPELINED, REQ2_TAGGED];
+    let mut out = vec![WIRE_VERSION, KIND_TAGGED];
     out.extend_from_slice(&id.to_le_bytes());
     let ms = deadline.map_or(0, |d| d.as_millis().min(u128::from(u32::MAX)) as u32);
     out.extend_from_slice(&ms.to_le_bytes());
@@ -548,7 +457,7 @@ pub fn encode_request_tagged(id: u64, request: &Request, deadline: Option<Durati
     out
 }
 
-/// Encode a v2 subscribe request.
+/// Encode a subscribe request.
 pub fn encode_subscribe(
     id: u64,
     device: &str,
@@ -556,7 +465,7 @@ pub fn encode_subscribe(
     interval: Duration,
     max_frames: u32,
 ) -> Vec<u8> {
-    let mut out = vec![WIRE_VERSION_PIPELINED, REQ2_SUBSCRIBE];
+    let mut out = vec![WIRE_VERSION, KIND_SUBSCRIBE];
     out.extend_from_slice(&id.to_le_bytes());
     put_str(&mut out, device);
     out.extend_from_slice(&base_nonce.to_le_bytes());
@@ -566,9 +475,9 @@ pub fn encode_subscribe(
     out
 }
 
-/// Encode a v2 stats-subscribe request.
+/// Encode a stats-subscribe request.
 pub fn encode_stats_subscribe(id: u64, interval: Duration, max_frames: u32) -> Vec<u8> {
-    let mut out = vec![WIRE_VERSION_PIPELINED, REQ2_STATS_SUBSCRIBE];
+    let mut out = vec![WIRE_VERSION, KIND_STATS_SUBSCRIBE];
     out.extend_from_slice(&id.to_le_bytes());
     let ms = interval.as_millis().min(u128::from(u32::MAX)) as u32;
     out.extend_from_slice(&ms.to_le_bytes());
@@ -576,15 +485,15 @@ pub fn encode_stats_subscribe(id: u64, interval: Duration, max_frames: u32) -> V
     out
 }
 
-/// Encode a v2 unsubscribe request.
+/// Encode an unsubscribe request.
 pub fn encode_unsubscribe(id: u64, target: u64) -> Vec<u8> {
-    let mut out = vec![WIRE_VERSION_PIPELINED, REQ2_UNSUBSCRIBE];
+    let mut out = vec![WIRE_VERSION, KIND_UNSUBSCRIBE];
     out.extend_from_slice(&id.to_le_bytes());
     out.extend_from_slice(&target.to_le_bytes());
     out
 }
 
-/// The tag + fields of a request (shared by v1 and v2 encodings).
+/// The tag + fields of a request.
 fn put_request_body(out: &mut Vec<u8>, request: &Request) {
     match request {
         Request::Enroll { device, nonce } => {
@@ -603,7 +512,6 @@ fn put_request_body(out: &mut Vec<u8>, request: &Request) {
             out.extend_from_slice(&nonce.to_le_bytes());
         }
         Request::RegistrySnapshot => out.push(TAG_SNAPSHOT),
-        Request::EnrollBatch { devices } => put_batch_rows(out, TAG_ENROLL_BATCH, devices),
         Request::CohortEnroll { devices } => put_batch_rows(out, TAG_COHORT_ENROLL, devices),
         Request::IntakeScan { devices } => put_batch_rows(out, TAG_INTAKE, devices),
         Request::Stats => out.push(TAG_STATS),
@@ -647,9 +555,6 @@ fn take_request_body(c: &mut Cursor<'_>) -> Result<Request, FleetError> {
             nonce: c.u64()?,
         },
         TAG_SNAPSHOT => Request::RegistrySnapshot,
-        TAG_ENROLL_BATCH => Request::EnrollBatch {
-            devices: take_batch_rows(c)?,
-        },
         TAG_COHORT_ENROLL => Request::CohortEnroll {
             devices: take_batch_rows(c)?,
         },
@@ -661,7 +566,7 @@ fn take_request_body(c: &mut Cursor<'_>) -> Result<Request, FleetError> {
     })
 }
 
-/// Decode any request frame, v1 or v2.
+/// Decode any request frame.
 ///
 /// # Errors
 ///
@@ -670,61 +575,56 @@ fn take_request_body(c: &mut Cursor<'_>) -> Result<Request, FleetError> {
 pub fn decode_wire_request(payload: &[u8]) -> Result<WireRequest, FleetError> {
     let mut c = Cursor::new(payload);
     let version = c.u8()?;
-    match version {
-        WIRE_VERSION => {
-            let (request, deadline) = decode_request(payload)?;
-            Ok(WireRequest::Plain { request, deadline })
-        }
-        WIRE_VERSION_PIPELINED => {
-            let kind = c.u8()?;
-            let decoded = match kind {
-                REQ2_TAGGED => {
-                    let id = c.u64()?;
-                    let ms = c.u32()?;
-                    let deadline = (ms > 0).then(|| Duration::from_millis(u64::from(ms)));
-                    let request = take_request_body(&mut c)?;
-                    WireRequest::Tagged {
-                        id,
-                        request,
-                        deadline,
-                    }
-                }
-                REQ2_SUBSCRIBE => WireRequest::Subscribe {
-                    id: c.u64()?,
-                    device: c.string()?,
-                    base_nonce: c.u64()?,
-                    interval: Duration::from_millis(u64::from(c.u32()?)),
-                    max_frames: c.u32()?,
-                },
-                REQ2_UNSUBSCRIBE => WireRequest::Unsubscribe {
-                    id: c.u64()?,
-                    target: c.u64()?,
-                },
-                REQ2_STATS_SUBSCRIBE => WireRequest::StatsSubscribe {
-                    id: c.u64()?,
-                    interval: Duration::from_millis(u64::from(c.u32()?)),
-                    max_frames: c.u32()?,
-                },
-                other => {
-                    return Err(FleetError::Protocol(format!(
-                        "unknown v2 request kind {other}"
-                    )))
-                }
-            };
-            c.finish()?;
-            Ok(decoded)
-        }
-        other => Err(FleetError::Protocol(format!(
-            "unsupported wire version {other}"
-        ))),
+    if version != WIRE_VERSION {
+        return Err(FleetError::Protocol(format!(
+            "unsupported wire version {version}"
+        )));
     }
+    let kind = c.u8()?;
+    let decoded = match kind {
+        KIND_TAGGED => {
+            let id = c.u64()?;
+            let ms = c.u32()?;
+            let deadline = (ms > 0).then(|| Duration::from_millis(u64::from(ms)));
+            let request = take_request_body(&mut c)?;
+            WireRequest::Tagged {
+                id,
+                request,
+                deadline,
+            }
+        }
+        KIND_SUBSCRIBE => WireRequest::Subscribe {
+            id: c.u64()?,
+            device: c.string()?,
+            base_nonce: c.u64()?,
+            interval: Duration::from_millis(u64::from(c.u32()?)),
+            max_frames: c.u32()?,
+        },
+        KIND_UNSUBSCRIBE => WireRequest::Unsubscribe {
+            id: c.u64()?,
+            target: c.u64()?,
+        },
+        KIND_STATS_SUBSCRIBE => WireRequest::StatsSubscribe {
+            id: c.u64()?,
+            interval: Duration::from_millis(u64::from(c.u32()?)),
+            max_frames: c.u32()?,
+        },
+        other => {
+            return Err(FleetError::Protocol(format!(
+                "unknown v2 request kind {other}"
+            )))
+        }
+    };
+    c.finish()?;
+    Ok(decoded)
 }
 
-/// Any server→client frame, across both wire versions.
+/// Any server→client frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireEvent {
-    /// A bare v1 response (answer to a [`WireRequest::Plain`]).
-    Plain(Box<Result<Response, FleetError>>),
+    /// A bare connection-level error: the server could not frame or
+    /// decode a request, so there is no id to answer under.
+    Error(FleetError),
     /// The enveloped answer to a [`WireRequest::Tagged`].
     Reply {
         /// The id the request carried.
@@ -812,16 +712,22 @@ pub fn encode_sub_end(id: u64, frames: u64) -> Vec<u8> {
     out
 }
 
-/// Decode any server→client frame (bare v1 response or v2 envelope).
+/// Decode any server→client frame (envelope or bare error).
 ///
 /// # Errors
 ///
-/// Returns [`FleetError::Protocol`] on malformed payloads. A decoded
-/// *typed* service error is carried inside the event, not returned as
-/// this function's `Err`.
+/// Returns [`FleetError::Protocol`] on malformed payloads, including a
+/// bare frame with status `0` (only errors travel without an envelope).
+/// A decoded *typed* service error is carried inside the event, not
+/// returned as this function's `Err`.
 pub fn decode_event(payload: &[u8]) -> Result<WireEvent, FleetError> {
     if payload.first() != Some(&ENVELOPE) {
-        return Ok(WireEvent::Plain(Box::new(decode_response(payload))));
+        return match decode_response(payload) {
+            Ok(response) => Err(FleetError::Protocol(format!(
+                "bare response without an envelope: {response:?}"
+            ))),
+            Err(err) => Ok(WireEvent::Error(err)),
+        };
     }
     let mut c = Cursor::new(payload);
     c.u8()?; // envelope marker
@@ -956,31 +862,22 @@ impl FrameBuffer {
 /// A TCP front end for a fleet service: accepts connections on a
 /// loopback (or any) address and serves frames until dropped.
 ///
-/// Two transports share this handle:
-///
-/// - [`spawn`](Self::spawn) — the poll-based reactor: one thread
-///   multiplexes every connection (nonblocking sockets + readiness
-///   loop), with pipelining, same-device verify coalescing, inline
-///   verdict-cache serving, fair-share admission, and streaming scan
-///   subscriptions. See [`crate::reactor`].
-/// - [`spawn_threaded`](Self::spawn_threaded) — the original
-///   thread-per-connection blocking server, kept as the equivalence
-///   reference: the reactor must produce byte-identical responses for
-///   identical request sequences.
+/// One poll-based reactor thread multiplexes every connection
+/// (nonblocking sockets + readiness loop), with pipelining, same-device
+/// verify coalescing, inline verdict-cache serving, fair-share
+/// admission, and streaming subscriptions. See [`crate::reactor`].
 pub struct FleetTcpServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
-    /// `Some` for the reactor transport: dropping notifies the loop
-    /// instead of poking it with a throwaway connection.
-    poller: Option<Arc<divot_polling::Poller>>,
+    /// Dropping the server notifies the loop through its poller.
+    poller: Arc<divot_polling::Poller>,
 }
 
 impl std::fmt::Debug for FleetTcpServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetTcpServer")
             .field("addr", &self.addr)
-            .field("reactor", &self.poller.is_some())
             .finish()
     }
 }
@@ -1011,41 +908,7 @@ impl FleetTcpServer {
             addr: handle.addr,
             shutdown: handle.shutdown,
             thread: Some(handle.thread),
-            poller: Some(handle.poller),
-        })
-    }
-
-    /// Bind `addr` and serve each connection on its own blocking thread
-    /// — the pre-reactor transport, retained as the byte-equivalence
-    /// reference and for A/B benchmarking.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn spawn_threaded(client: FleetClient, addr: &str) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let thread = std::thread::Builder::new()
-            .name("fleet-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let client = client.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("fleet-conn".into())
-                        .spawn(move || serve_connection(stream, &client));
-                }
-            })?;
-        Ok(Self {
-            addr,
-            shutdown,
-            thread: Some(thread),
-            poller: None,
+            poller: handle.poller,
         })
     }
 
@@ -1058,69 +921,19 @@ impl FleetTcpServer {
 impl Drop for FleetTcpServer {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        match &self.poller {
-            Some(p) => p.notify(),
-            // Unblock the blocking accept loop with a throwaway
-            // connection.
-            None => drop(TcpStream::connect(self.addr)),
-        }
+        self.poller.notify();
         if let Some(h) = self.thread.take() {
             let _ = h.join();
         }
     }
 }
 
-/// Serve one blocking connection: request frame in, response frame out,
-/// until the peer hangs up or a transport error occurs. Understands v1
-/// plain and v2 tagged requests (strictly serially — pipelining needs
-/// the reactor); subscription frames are answered with a typed error.
-fn serve_connection(mut stream: TcpStream, client: &FleetClient) {
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(p) => p,
-            Err(_) => return, // EOF or broken pipe: peer is done.
-        };
-        divot_telemetry::inc("fleet.tcp.frames");
-        let call = |request: Request, deadline: Option<Duration>| match deadline {
-            Some(d) => client.call_with_deadline(request, d),
-            None => client.call(request),
-        };
-        let reply = match decode_wire_request(&payload) {
-            Ok(WireRequest::Plain { request, deadline }) => {
-                encode_response(&call(request, deadline))
-            }
-            Ok(WireRequest::Tagged {
-                id,
-                request,
-                deadline,
-            }) => encode_tagged_response(id, &call(request, deadline)),
-            Ok(WireRequest::Subscribe { id, .. } | WireRequest::StatsSubscribe { id, .. }) => {
-                encode_tagged_response(
-                    id,
-                    &Err(FleetError::Protocol(
-                        "subscriptions require the reactor transport".into(),
-                    )),
-                )
-            }
-            Ok(WireRequest::Unsubscribe { id, .. }) => encode_tagged_response(
-                id,
-                &Err(FleetError::Protocol(
-                    "subscriptions require the reactor transport".into(),
-                )),
-            ),
-            Err(e) => encode_response(&Err(e)),
-        };
-        if write_frame(&mut stream, &reply).is_err() {
-            return;
-        }
-    }
-}
-
-/// A blocking *pipelined* TCP client speaking wire v2: many tagged
-/// requests in flight on one connection, events received in completion
-/// order. Send and receive halves share the socket but not a lock —
-/// interleave [`send`](Self::send)/[`send_batch`](Self::send_batch)
-/// with [`recv_event`](Self::recv_event) as the workload requires.
+/// A blocking *pipelined* TCP client: many tagged requests in flight on
+/// one connection, events received in completion order. Send and
+/// receive halves share the socket but not a lock — interleave
+/// [`send`](Self::send)/[`send_batch`](Self::send_batch) with
+/// [`recv_event`](Self::recv_event) as the workload requires, or use
+/// [`call`](Self::call) for one request at a time.
 #[derive(Debug)]
 pub struct PipelinedFleetClient {
     stream: TcpStream,
@@ -1217,7 +1030,7 @@ impl PipelinedFleetClient {
 
     /// Register a streaming stats subscription; returns its id. The
     /// server answers with [`WireEvent::SubAck`], then pushes
-    /// [`WireEvent::StatsFrame`]s (reactor transport only).
+    /// [`WireEvent::StatsFrame`]s.
     ///
     /// # Errors
     ///
@@ -1235,30 +1048,45 @@ impl PipelinedFleetClient {
         Ok(id)
     }
 
-    /// One blocking stats round trip: send [`Request::Stats`], drain
-    /// events until its reply arrives, and return the snapshot. Events
-    /// of other in-flight work are *discarded* — use on a connection
-    /// dedicated to polling (the `fleet_top` pattern), not mid-pipeline.
+    /// One blocking round trip: send `request` tagged, then drain events
+    /// until its reply arrives. Events of other in-flight work are
+    /// *discarded* — use on a connection with nothing else outstanding
+    /// (a control or polling connection), not mid-pipeline.
     ///
     /// # Errors
     ///
-    /// Transport failures surface as [`FleetError::Io`]; a non-stats
-    /// reply body as [`FleetError::Protocol`].
-    pub fn request_stats(&mut self, deadline: Option<Duration>) -> Result<FleetStats, FleetError> {
-        let id = self.send(&Request::Stats, deadline)?;
+    /// Typed service errors come back as received (a bare
+    /// connection-level error frame included); transport failures
+    /// surface as [`FleetError::Io`].
+    pub fn call(
+        &mut self,
+        request: &Request,
+        deadline: Option<Duration>,
+    ) -> Result<Response, FleetError> {
+        let id = self.send(request, deadline)?;
         loop {
-            if let WireEvent::Reply { id: got, outcome } = self.recv_event()? {
-                if got != id {
-                    continue;
-                }
-                return match *outcome {
-                    Ok(Response::StatsSnapshot { stats }) => Ok(stats),
-                    Ok(other) => Err(FleetError::Protocol(format!(
-                        "stats request answered with {other:?}"
-                    ))),
-                    Err(e) => Err(e),
-                };
+            match self.recv_event()? {
+                WireEvent::Reply { id: got, outcome } if got == id => return *outcome,
+                WireEvent::Error(err) => return Err(err),
+                _ => {}
             }
+        }
+    }
+
+    /// One blocking stats round trip ([`call`](Self::call) with
+    /// [`Request::Stats`]), returning the snapshot — the `fleet_top`
+    /// polling pattern.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`call`](Self::call); a non-stats reply body is a
+    /// [`FleetError::Protocol`].
+    pub fn request_stats(&mut self, deadline: Option<Duration>) -> Result<FleetStats, FleetError> {
+        match self.call(&Request::Stats, deadline)? {
+            Response::StatsSnapshot { stats } => Ok(stats),
+            other => Err(FleetError::Protocol(format!(
+                "stats request answered with {other:?}"
+            ))),
         }
     }
 
@@ -1307,67 +1135,20 @@ impl PipelinedFleetClient {
     }
 }
 
-/// A blocking TCP client speaking the fleet wire protocol.
-#[derive(Debug)]
-pub struct TcpFleetClient {
-    stream: TcpStream,
-}
-
-impl TcpFleetClient {
-    /// Connect to a [`FleetTcpServer`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the connect failure.
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Self { stream })
-    }
-
-    /// Issue one request under the server's default deadline.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors come back as received; transport failures
-    /// surface as [`FleetError::Io`].
-    pub fn call(&mut self, request: &Request) -> Result<Response, FleetError> {
-        self.call_with_deadline_opt(request, None)
-    }
-
-    /// Issue one request with an explicit deadline.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`call`](Self::call).
-    pub fn call_with_deadline(
-        &mut self,
-        request: &Request,
-        deadline: Duration,
-    ) -> Result<Response, FleetError> {
-        self.call_with_deadline_opt(request, Some(deadline))
-    }
-
-    fn call_with_deadline_opt(
-        &mut self,
-        request: &Request,
-        deadline: Option<Duration>,
-    ) -> Result<Response, FleetError> {
-        write_frame(&mut self.stream, &encode_request(request, deadline))?;
-        let payload = read_frame(&mut self.stream)?;
-        decode_response(&payload)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn round_trip_request(request: Request, deadline: Option<Duration>) {
-        let bytes = encode_request(&request, deadline);
-        let (back, d) = decode_request(&bytes).unwrap();
-        assert_eq!(back, request);
-        assert_eq!(d, deadline);
+        let bytes = encode_request_tagged(3, &request, deadline);
+        assert_eq!(
+            decode_wire_request(&bytes).unwrap(),
+            WireRequest::Tagged {
+                id: 3,
+                request,
+                deadline,
+            }
+        );
     }
 
     #[test]
@@ -1394,17 +1175,6 @@ mod tests {
             Some(Duration::from_millis(1)),
         );
         round_trip_request(Request::RegistrySnapshot, None);
-        round_trip_request(
-            Request::EnrollBatch {
-                devices: vec![
-                    ("bus-000".into(), 7),
-                    ("bus-001".into(), u64::MAX),
-                    ("ünïcode-bus".into(), 0),
-                ],
-            },
-            Some(Duration::from_millis(250)),
-        );
-        round_trip_request(Request::EnrollBatch { devices: vec![] }, None);
         round_trip_request(
             Request::CohortEnroll {
                 devices: vec![("bus-000".into(), 1), ("bus-001".into(), 2)],
@@ -1447,10 +1217,6 @@ mod tests {
             Response::Snapshot {
                 devices: vec![("bus-000".into(), 0), ("bus-001".into(), 5)],
             },
-            Response::EnrolledBatch {
-                devices: vec![("bus-000".into(), 2), ("bus-001".into(), 7)],
-            },
-            Response::EnrolledBatch { devices: vec![] },
             Response::CohortModel {
                 cohort_size: 256,
                 excluded: 12,
@@ -1562,27 +1328,34 @@ mod tests {
     #[test]
     fn malformed_payloads_are_protocol_errors() {
         assert!(matches!(
-            decode_request(&[]),
+            decode_wire_request(&[]),
             Err(FleetError::Protocol(_))
         ));
-        assert!(matches!(
-            decode_request(&[99, 0, 0, 0, 0, TAG_SNAPSHOT]),
-            Err(FleetError::Protocol(msg)) if msg.contains("version")
-        ));
+        // The retired version 1 is as foreign as any other byte.
+        for version in [1, 99] {
+            assert!(matches!(
+                decode_wire_request(&[version, KIND_TAGGED, 0, 0, 0, 0, TAG_SNAPSHOT]),
+                Err(FleetError::Protocol(msg)) if msg.contains("version")
+            ));
+        }
         // Unknown tag.
+        let mut bytes = vec![WIRE_VERSION, KIND_TAGGED];
+        bytes.extend_from_slice(&[0; 12]);
+        bytes.push(200);
         assert!(matches!(
-            decode_request(&[WIRE_VERSION, 0, 0, 0, 0, 200]),
+            decode_wire_request(&bytes),
             Err(FleetError::Protocol(msg)) if msg.contains("tag")
         ));
         // Trailing garbage.
-        let mut bytes = encode_request(&Request::RegistrySnapshot, None);
+        let mut bytes = encode_request_tagged(0, &Request::RegistrySnapshot, None);
         bytes.push(0);
         assert!(matches!(
-            decode_request(&bytes),
+            decode_wire_request(&bytes),
             Err(FleetError::Protocol(msg)) if msg.contains("trailing")
         ));
         // Truncations of a valid request all fail cleanly.
-        let bytes = encode_request(
+        let bytes = encode_request_tagged(
+            1,
             &Request::Verify {
                 device: "bus-000".into(),
                 nonce: 1,
@@ -1591,7 +1364,7 @@ mod tests {
         );
         for cut in 0..bytes.len() {
             assert!(
-                decode_request(&bytes[..cut]).is_err(),
+                decode_wire_request(&bytes[..cut]).is_err(),
                 "cut at {cut} must fail"
             );
         }
@@ -1627,15 +1400,6 @@ mod tests {
         assert_eq!(
             decode_wire_request(&bytes).unwrap(),
             WireRequest::Unsubscribe { id: 6, target: 5 }
-        );
-        // A v1 frame decodes as Plain through the same entry point.
-        let bytes = encode_request(&Request::RegistrySnapshot, None);
-        assert_eq!(
-            decode_wire_request(&bytes).unwrap(),
-            WireRequest::Plain {
-                request: Request::RegistrySnapshot,
-                deadline: None,
-            }
         );
     }
 
@@ -1677,22 +1441,33 @@ mod tests {
             decode_event(&encode_sub_end(9, 128)).unwrap(),
             WireEvent::SubEnd { id: 9, frames: 128 }
         );
-        // A bare v1 response decodes as Plain.
-        let err = Err(FleetError::DeadlineExceeded);
-        match decode_event(&encode_response(&err)).unwrap() {
-            WireEvent::Plain(outcome) => assert_eq!(*outcome, err),
-            other => panic!("unexpected {other:?}"),
-        }
+        // A bare error frame decodes as a connection-level error; a
+        // bare success (status 0) is not a valid server frame.
+        let err = FleetError::Protocol("frame too long".into());
+        assert_eq!(
+            decode_event(&encode_response(&Err(err.clone()))).unwrap(),
+            WireEvent::Error(err)
+        );
+        assert!(matches!(
+            decode_event(&encode_response(&Ok(Response::Snapshot { devices: vec![] }))),
+            Err(FleetError::Protocol(msg)) if msg.contains("envelope")
+        ));
     }
 
     #[test]
     fn frame_buffer_reassembles_split_frames() {
         let mut wire = Vec::new();
         let payloads: Vec<Vec<u8>> = (0..5)
-            .map(|i| encode_request(&Request::Verify {
-                device: format!("bus-{i:03}"),
-                nonce: i,
-            }, None))
+            .map(|i| {
+                encode_request_tagged(
+                    i,
+                    &Request::Verify {
+                        device: format!("bus-{i:03}"),
+                        nonce: i,
+                    },
+                    None,
+                )
+            })
             .collect();
         for p in &payloads {
             wire.extend_from_slice(&(p.len() as u32).to_le_bytes());
@@ -1722,15 +1497,11 @@ mod tests {
     fn frames_round_trip_and_reject_oversize() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello").unwrap();
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap(), b"hello");
+        let mut fb = FrameBuffer::new();
+        fb.extend(&buf);
+        assert_eq!(fb.next_frame().unwrap().unwrap(), b"hello");
 
         let huge = vec![0u8; MAX_FRAME + 1];
         assert!(write_frame(&mut Vec::new(), &huge).is_err());
-
-        // A corrupt length header cannot cause a huge allocation.
-        let mut bad = (MAX_FRAME as u32 + 1).to_le_bytes().to_vec();
-        bad.extend_from_slice(&[0; 8]);
-        assert!(read_frame(&mut &bad[..]).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! Property pins for the incremental frame decoder and the v2 codec —
+//! Property pins for the incremental frame decoder and the wire codec —
 //! the robustness half of the reactor contract: however the kernel
 //! slices the byte stream, and whatever bytes a client throws at the
 //! server, the decoder reassembles exactly what was sent, rejects
@@ -7,9 +7,9 @@
 use std::time::Duration;
 
 use divot_fleet::wire::{
-    decode_event, decode_wire_request, encode_request, encode_request_tagged, encode_scan_frame,
+    decode_event, decode_wire_request, encode_request_tagged, encode_scan_frame,
     encode_stats_frame, encode_stats_subscribe, encode_sub_ack, encode_sub_end, encode_subscribe,
-    encode_tagged_response, encode_unsubscribe, FrameBuffer, MAX_FRAME,
+    encode_tagged_response, encode_unsubscribe, FrameBuffer, MAX_FRAME, WIRE_VERSION,
 };
 use divot_cohort::Verdict;
 use divot_fleet::{FleetError, FleetStats, IntakeReport, Request, Response, WireEvent, WireRequest};
@@ -111,7 +111,27 @@ proptest! {
         }
     }
 
-    /// v1 and v2 request frames round-trip the codec bit-exactly.
+    /// Any payload whose version byte is not [`WIRE_VERSION`] — the
+    /// retired version 1 included — decodes to a typed protocol error
+    /// naming the version, never a request and never a panic.
+    #[test]
+    fn foreign_versions_are_typed_protocol_errors(
+        version in any::<u8>(),
+        rest in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let version = if version == WIRE_VERSION { 1 } else { version };
+        let mut payload = vec![version];
+        payload.extend_from_slice(&rest);
+        match decode_wire_request(&payload) {
+            Err(FleetError::Protocol(msg)) => prop_assert!(
+                msg.contains(&format!("unsupported wire version {version}")),
+                "{msg}"
+            ),
+            other => panic!("version {version} must be a protocol error, got {other:?}"),
+        }
+    }
+
+    /// Every request frame kind round-trips the codec bit-exactly.
     #[test]
     fn wire_requests_round_trip(
         id in any::<u64>(),
@@ -120,7 +140,7 @@ proptest! {
         deadline_ms in 0u32..100_000,
         interval_ms in 1u32..60_000,
         max_frames in any::<u32>(),
-        kind in 0usize..8,
+        kind in 1usize..8,
         rows in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..4),
     ) {
         let device = format!("bus-{device_seed:016x}");
@@ -140,10 +160,6 @@ proptest! {
             _ => Request::Verify { device: device.clone(), nonce },
         };
         let (wire, expect) = match kind {
-            0 => (
-                encode_request(&request, deadline),
-                WireRequest::Plain { request: request.clone(), deadline },
-            ),
             1 => (
                 encode_request_tagged(id, &request, deadline),
                 WireRequest::Tagged { id, request: request.clone(), deadline },
@@ -194,7 +210,7 @@ proptest! {
         prop_assert_eq!(decode_wire_request(&wire).expect("decodes"), expect);
     }
 
-    /// v2 server events round-trip the codec bit-exactly (including the
+    /// Server events round-trip the codec bit-exactly (including the
     /// f64 similarity bits inside a carried verdict).
     #[test]
     fn wire_events_round_trip(

@@ -1,27 +1,32 @@
-//! Reactor ⇄ threaded-server equivalence and pipelined determinism.
+//! The wire transcript pin, pipelined determinism, and connection
+//! isolation.
 //!
-//! The reactor is an *optimization*: for a v1 conversation its byte
-//! stream must be identical to the thread-per-connection reference
-//! server's, and pipelined verdicts must be bitwise stable across
-//! worker counts (the fleet determinism contract lifted onto the
-//! wire). A malformed connection must die alone.
+//! A serial v2 conversation must answer with exactly the reply bytes of
+//! the checked-in transcript (`tests/golden/reactor_v2_transcript.hex`,
+//! one hex-encoded reply payload per line). The transcript was recorded
+//! while a thread-per-connection reference server still existed, and
+//! both servers answered it byte for byte alike. Pipelined verdicts must
+//! be bitwise stable across worker counts (the fleet determinism
+//! contract lifted onto the wire), and a malformed connection must die
+//! alone.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use divot_fleet::wire::{encode_request, encode_response, read_frame, write_frame};
+use divot_fleet::wire::{decode_event, encode_request_tagged, encode_response, write_frame};
 use divot_fleet::{
     FleetConfig, FleetError, FleetService, FleetSimConfig, FleetTcpServer, PipelinedFleetClient,
-    Request, Response, SimulatedFleet, TcpFleetClient, WireEvent,
+    Request, Response, SimulatedFleet, WireEvent,
 };
 
 const SEED: u64 = 77;
 const BUSES: usize = 4;
+const GOLDEN: &str = include_str!("golden/reactor_v2_transcript.hex");
 
 fn start_service(workers: usize) -> FleetService {
-    // The cohort floor drops to the tiny test fleet so the v1 script
-    // can exercise the population-model path over the wire too.
+    // The cohort floor drops to the tiny test fleet so the script can
+    // exercise the population-model path over the wire too.
     let mut config = FleetConfig::default().with_workers(workers);
     config.cohort = divot_cohort::CohortConfig {
         min_cohort: BUSES,
@@ -30,53 +35,38 @@ fn start_service(workers: usize) -> FleetService {
     FleetService::start(config, SimulatedFleet::new(FleetSimConfig::fast(BUSES, SEED)))
 }
 
-/// The v1 conversation both servers must answer byte-for-byte alike:
-/// enrolls, verifies (one repeated — the cache inline path), a scan, a
-/// snapshot, an unknown-device error, and a malformed payload.
-fn v1_script() -> Vec<Vec<u8>> {
-    let mut frames: Vec<Vec<u8>> = Vec::new();
+/// The pinned conversation: enrolls, verifies (one repeated — the cache
+/// inline path), a scan, a snapshot, an unknown-device error, the cohort
+/// and intake steps, and a frame with a bad version byte.
+fn v2_script() -> Vec<Vec<u8>> {
+    let mut requests: Vec<Request> = Vec::new();
     for i in 0..BUSES {
-        frames.push(encode_request(
-            &Request::Enroll {
-                device: SimulatedFleet::device_name(i),
-                nonce: 1,
-            },
-            None,
-        ));
+        requests.push(Request::Enroll {
+            device: SimulatedFleet::device_name(i),
+            nonce: 1,
+        });
     }
     for k in 0..8u64 {
-        frames.push(encode_request(
-            &Request::Verify {
-                device: SimulatedFleet::device_name((k % BUSES as u64) as usize),
-                nonce: 500 + k,
-            },
-            None,
-        ));
+        requests.push(Request::Verify {
+            device: SimulatedFleet::device_name((k % BUSES as u64) as usize),
+            nonce: 500 + k,
+        });
     }
     // Warm repeat: the reactor answers this from the verdict cache
-    // inline; the bytes must not differ from the threaded recompute.
-    frames.push(encode_request(
-        &Request::Verify {
-            device: SimulatedFleet::device_name(0),
-            nonce: 500,
-        },
-        None,
-    ));
-    frames.push(encode_request(
-        &Request::MonitorScan {
-            device: SimulatedFleet::device_name(1),
-            nonce: 42,
-        },
-        None,
-    ));
-    frames.push(encode_request(&Request::RegistrySnapshot, None));
-    frames.push(encode_request(
-        &Request::Verify {
-            device: "bus-404".into(),
-            nonce: 7,
-        },
-        None,
-    ));
+    // inline; the bytes must not differ from the cold computation.
+    requests.push(Request::Verify {
+        device: SimulatedFleet::device_name(0),
+        nonce: 500,
+    });
+    requests.push(Request::MonitorScan {
+        device: SimulatedFleet::device_name(1),
+        nonce: 42,
+    });
+    requests.push(Request::RegistrySnapshot);
+    requests.push(Request::Verify {
+        device: "bus-404".into(),
+        nonce: 7,
+    });
     // Cohort path: a scan before any model is a typed error; enrolling
     // the whole fleet installs a model; an undersized re-enroll is
     // rejected without clobbering it; the scan then reports per-board
@@ -84,75 +74,90 @@ fn v1_script() -> Vec<Vec<u8>> {
     let cohort: Vec<(String, u64)> = (0..BUSES)
         .map(|i| (SimulatedFleet::device_name(i), 21))
         .collect();
-    frames.push(encode_request(
-        &Request::IntakeScan {
-            devices: cohort.clone(),
-        },
-        None,
-    ));
-    frames.push(encode_request(
-        &Request::CohortEnroll {
-            devices: cohort.clone(),
-        },
-        None,
-    ));
-    frames.push(encode_request(
-        &Request::CohortEnroll {
-            devices: cohort[..1].to_vec(),
-        },
-        None,
-    ));
-    frames.push(encode_request(
-        &Request::IntakeScan {
-            devices: (0..BUSES)
-                .map(|i| (SimulatedFleet::device_name(i), 900))
-                .collect(),
-        },
-        None,
-    ));
-    frames.push(encode_request(
-        &Request::IntakeScan {
-            devices: vec![("bus-404".into(), 5)],
-        },
-        None,
-    ));
-    // Unknown wire version: a typed protocol error, connection lives.
+    requests.push(Request::IntakeScan {
+        devices: cohort.clone(),
+    });
+    requests.push(Request::CohortEnroll {
+        devices: cohort.clone(),
+    });
+    requests.push(Request::CohortEnroll {
+        devices: cohort[..1].to_vec(),
+    });
+    requests.push(Request::IntakeScan {
+        devices: (0..BUSES)
+            .map(|i| (SimulatedFleet::device_name(i), 900))
+            .collect(),
+    });
+    requests.push(Request::IntakeScan {
+        devices: vec![("bus-404".into(), 5)],
+    });
+    let mut frames: Vec<Vec<u8>> = requests
+        .iter()
+        .enumerate()
+        .map(|(id, r)| encode_request_tagged(id as u64, r, None))
+        .collect();
+    // Unknown wire version: a bare typed protocol error (there is no id
+    // to answer under), and the connection lives on.
     frames.push(vec![0x99, 0x01, 0x02]);
-    frames.push(encode_request(&Request::RegistrySnapshot, None));
+    frames.push(encode_request_tagged(
+        frames.len() as u64,
+        &Request::RegistrySnapshot,
+        None,
+    ));
     frames
 }
 
+/// Read one length-prefixed frame off a blocking socket.
+fn read_reply(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len)?;
+    let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+    stream.read_exact(&mut payload)?;
+    Ok(payload)
+}
+
 /// Run the script serially over one raw connection, returning every
-/// response payload.
+/// reply payload.
 fn run_script(addr: std::net::SocketAddr, script: &[Vec<u8>]) -> Vec<Vec<u8>> {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     let mut replies = Vec::with_capacity(script.len());
     for frame in script {
         write_frame(&mut stream, frame).expect("write");
-        replies.push(read_frame(&mut stream).expect("read"));
+        replies.push(read_reply(&mut stream).expect("read"));
     }
     replies
 }
 
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn transcript(replies: &[Vec<u8>]) -> String {
+    replies.iter().map(|r| hex(r) + "\n").collect()
+}
+
 #[test]
-fn reactor_and_threaded_servers_answer_v1_byte_identically() {
-    // Twin services from the same seed; one behind each server flavor.
-    let svc_a = start_service(2);
-    let svc_b = start_service(2);
-    let reactor = FleetTcpServer::spawn(svc_a.client(), "127.0.0.1:0").expect("bind");
-    let threaded = FleetTcpServer::spawn_threaded(svc_b.client(), "127.0.0.1:0").expect("bind");
-
-    let script = v1_script();
-    let from_reactor = run_script(reactor.local_addr(), &script);
-    let from_threaded = run_script(threaded.local_addr(), &script);
-
-    assert_eq!(from_reactor.len(), from_threaded.len());
-    for (i, (a, b)) in from_reactor.iter().zip(&from_threaded).enumerate() {
-        assert_eq!(a, b, "response {i} diverged between reactor and threaded");
+fn serial_v2_conversation_matches_the_golden_transcript() {
+    let svc = start_service(2);
+    let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind");
+    let got = run_script(server.local_addr(), &v2_script());
+    let want: Vec<&str> = GOLDEN.lines().collect();
+    assert_eq!(
+        got.len(),
+        want.len(),
+        "reply count diverged; full transcript:\n{}",
+        transcript(&got)
+    );
+    for (i, (reply, line)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(
+            hex(reply),
+            *line,
+            "reply {i} diverged from the golden transcript; full transcript:\n{}",
+            transcript(&got)
+        );
     }
-    drop(reactor);
-    drop(threaded);
+    drop(server);
 }
 
 #[test]
@@ -160,7 +165,7 @@ fn pipelined_verdicts_are_bitwise_identical_across_worker_counts() {
     // The same 64-deep pipelined batch — duplicates included, so the
     // reactor's coalescing path is on it — must produce byte-identical
     // outcomes whether 1, 2, or 8 workers race on it, and must match a
-    // serial blocking client on a twin service.
+    // serial one-at-a-time client on a twin service.
     let requests: Vec<Request> = (0..64u64)
         .map(|k| Request::Verify {
             device: SimulatedFleet::device_name((k % BUSES as u64) as usize),
@@ -169,19 +174,26 @@ fn pipelined_verdicts_are_bitwise_identical_across_worker_counts() {
             nonce: 3000 + (k - u64::from(k % 4 == 3)),
         })
         .collect();
+    let enroll_all = |client: &mut PipelinedFleetClient| {
+        for i in 0..BUSES {
+            client
+                .call(
+                    &Request::Enroll {
+                        device: SimulatedFleet::device_name(i),
+                        nonce: 1,
+                    },
+                    None,
+                )
+                .expect("enroll");
+        }
+    };
 
     let mut per_worker_count: Vec<Vec<Vec<u8>>> = Vec::new();
     for workers in [1usize, 2, 8] {
         let svc = start_service(workers);
         let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind");
-        let mut ctl = TcpFleetClient::connect(server.local_addr()).expect("connect");
-        for i in 0..BUSES {
-            ctl.call(&Request::Enroll {
-                device: SimulatedFleet::device_name(i),
-                nonce: 1,
-            })
-            .expect("enroll");
-        }
+        let mut ctl = PipelinedFleetClient::connect(server.local_addr()).expect("connect");
+        enroll_all(&mut ctl);
         let mut pipe = PipelinedFleetClient::connect(server.local_addr()).expect("connect");
         let batch: Vec<(Request, Option<Duration>)> =
             requests.iter().map(|r| (r.clone(), None)).collect();
@@ -208,23 +220,17 @@ fn pipelined_verdicts_are_bitwise_identical_across_worker_counts() {
         }
     }
 
-    // Serial blocking reference on a twin service: same bits again.
+    // Serial one-at-a-time reference on a twin service: same bits again.
     let svc = start_service(2);
     let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind");
-    let mut ctl = TcpFleetClient::connect(server.local_addr()).expect("connect");
-    for i in 0..BUSES {
-        ctl.call(&Request::Enroll {
-            device: SimulatedFleet::device_name(i),
-            nonce: 1,
-        })
-        .expect("enroll");
-    }
+    let mut ctl = PipelinedFleetClient::connect(server.local_addr()).expect("connect");
+    enroll_all(&mut ctl);
     for (i, request) in requests.iter().enumerate() {
-        let outcome = ctl.call(request);
+        let outcome = ctl.call(request, None);
         assert_eq!(
             encode_response(&outcome),
             reference[i],
-            "blocking reference diverged at request {i}"
+            "one-at-a-time reference diverged at request {i}"
         );
     }
 }
@@ -233,11 +239,14 @@ fn pipelined_verdicts_are_bitwise_identical_across_worker_counts() {
 fn garbage_kills_only_the_offending_connection() {
     let svc = start_service(2);
     let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind");
-    let mut good = TcpFleetClient::connect(server.local_addr()).expect("connect");
-    good.call(&Request::Enroll {
-        device: SimulatedFleet::device_name(0),
-        nonce: 1,
-    })
+    let mut good = PipelinedFleetClient::connect(server.local_addr()).expect("connect");
+    good.call(
+        &Request::Enroll {
+            device: SimulatedFleet::device_name(0),
+            nonce: 1,
+        },
+        None,
+    )
     .expect("enroll");
 
     // A connection announcing an impossible frame length gets a typed
@@ -245,18 +254,23 @@ fn garbage_kills_only_the_offending_connection() {
     let mut evil = TcpStream::connect(server.local_addr()).expect("connect");
     evil.write_all(&u32::MAX.to_le_bytes()).expect("write");
     evil.flush().expect("flush");
-    let reply = read_frame(&mut evil).expect("error frame before close");
-    let err = divot_fleet::wire::decode_response(&reply).expect_err("typed error");
-    assert!(matches!(err, FleetError::Protocol(_)), "{err:?}");
-    let eof = read_frame(&mut evil);
+    let reply = read_reply(&mut evil).expect("error frame before close");
+    match decode_event(&reply).expect("a bare error frame decodes") {
+        WireEvent::Error(err) => assert!(matches!(err, FleetError::Protocol(_)), "{err:?}"),
+        other => panic!("expected a bare error, got {other:?}"),
+    }
+    let eof = read_reply(&mut evil);
     assert!(eof.is_err(), "oversized-length connection must be closed");
 
     // ...while the well-behaved connection keeps verifying.
     match good
-        .call(&Request::Verify {
-            device: SimulatedFleet::device_name(0),
-            nonce: 9,
-        })
+        .call(
+            &Request::Verify {
+                device: SimulatedFleet::device_name(0),
+                nonce: 9,
+            },
+            None,
+        )
         .expect("good connection survives")
     {
         Response::Verdict { accepted, .. } => assert!(accepted),

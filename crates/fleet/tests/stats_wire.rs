@@ -33,29 +33,24 @@ fn stats_probe_and_subscription_over_the_wire() {
     let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind");
     let mut client = PipelinedFleetClient::connect(server.local_addr()).expect("connect");
 
-    // One pipelined round trip: send tagged, drain to the reply.
+    // One blocking round trip that must succeed.
     fn roundtrip(client: &mut PipelinedFleetClient, request: &Request) -> Response {
-        let id = client.send(request, None).expect("send");
-        loop {
-            if let WireEvent::Reply { id: got, outcome } = client.recv_event().expect("event") {
-                if got == id {
-                    return outcome.expect("request failed");
-                }
-            }
-        }
+        client.call(request, None).expect("request failed")
     }
 
     // Serve at least one request of each kind the acceptance criteria
-    // name: verify, enroll-batch, scan.
+    // name: verify, enroll, scan.
     let d0 = SimulatedFleet::device_name(0);
     let d1 = SimulatedFleet::device_name(1);
-    let d2 = SimulatedFleet::device_name(2);
-    roundtrip(
-        &mut client,
-        &Request::EnrollBatch {
-            devices: vec![(d0.clone(), 1), (d1.clone(), 1), (d2.clone(), 1)],
-        },
-    );
+    for i in 0..3 {
+        roundtrip(
+            &mut client,
+            &Request::Enroll {
+                device: SimulatedFleet::device_name(i),
+                nonce: 1,
+            },
+        );
+    }
     for nonce in 10..14u64 {
         let r = roundtrip(
             &mut client,
@@ -80,7 +75,7 @@ fn stats_probe_and_subscription_over_the_wire() {
         stats.queue_capacity > 0,
         "capacity must reflect the admission queue"
     );
-    for kind in ["verify", "enroll_batch", "scan"] {
+    for kind in ["verify", "enroll", "scan"] {
         let name = format!("fleet.request.latency.{kind}");
         let (count, p50, p90, p99) = stats
             .histogram(&name)

@@ -3,12 +3,13 @@
 //! from independent TCP connections, and require zero sheds and an
 //! all-accept outcome.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
+use divot_core::itdr::AcqMode;
 use divot_fleet::{
-    FleetConfig, FleetError, FleetService, FleetSimConfig, FleetTcpServer, Request, Response,
-    SimulatedFleet, TcpFleetClient,
+    FleetConfig, FleetError, FleetService, FleetSimConfig, FleetTcpServer, PipelinedFleetClient,
+    Request, Response, SimulatedFleet,
 };
 
 const SEED: u64 = 44;
@@ -29,13 +30,16 @@ fn sixty_four_concurrent_tcp_verifies_all_accept_with_zero_sheds() {
     let addr = server.local_addr();
 
     // Enroll the whole fleet over the wire.
-    let mut client = TcpFleetClient::connect(addr).expect("connect");
+    let mut client = PipelinedFleetClient::connect(addr).expect("connect");
     for i in 0..BUSES {
         let resp = client
-            .call(&Request::Enroll {
-                device: SimulatedFleet::device_name(i),
-                nonce: 1,
-            })
+            .call(
+                &Request::Enroll {
+                    device: SimulatedFleet::device_name(i),
+                    nonce: 1,
+                },
+                None,
+            )
             .expect("enroll");
         assert!(matches!(resp, Response::Enrolled { .. }), "{resp:?}");
     }
@@ -47,11 +51,12 @@ fn sixty_four_concurrent_tcp_verifies_all_accept_with_zero_sheds() {
         for k in 0..64usize {
             let (sheds, accepts) = (&sheds, &accepts);
             scope.spawn(move || {
-                let mut c = TcpFleetClient::connect(addr).expect("connect");
-                match c.call(&Request::Verify {
+                let mut c = PipelinedFleetClient::connect(addr).expect("connect");
+                let verify = Request::Verify {
                     device: SimulatedFleet::device_name(k % BUSES),
                     nonce: 1000 + k as u64,
-                }) {
+                };
+                match c.call(&verify, None) {
                     Ok(Response::Verdict { accepted, .. }) => {
                         if accepted {
                             accepts.fetch_add(1, Ordering::Relaxed);
@@ -69,7 +74,7 @@ fn sixty_four_concurrent_tcp_verifies_all_accept_with_zero_sheds() {
     assert_eq!(accepts.load(Ordering::Relaxed), 64, "genuine fleet must all-accept");
 
     // Registry snapshot sees every enrolled device.
-    match client.call(&Request::RegistrySnapshot).expect("snapshot") {
+    match client.call(&Request::RegistrySnapshot, None).expect("snapshot") {
         Response::Snapshot { devices } => {
             assert_eq!(devices.len(), BUSES);
             let names: Vec<&str> = devices.iter().map(|(n, _)| n.as_str()).collect();
@@ -81,29 +86,48 @@ fn sixty_four_concurrent_tcp_verifies_all_accept_with_zero_sheds() {
     drop(svc);
 }
 
+/// Sets the flag when dropped, so a failed assertion inside a
+/// `thread::scope` still stops the scope's load threads instead of
+/// leaving it waiting on them forever.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 #[test]
 fn tcp_errors_cross_the_wire_typed() {
-    // Single worker so the queue can be held busy deterministically.
+    // Single worker so the queue can be held busy deterministically, and
+    // the per-trial acquisition engine so every queued verify takes far
+    // longer than the 1 ms deadline below, in any build profile.
     let svc = FleetService::start(
         FleetConfig::default().with_workers(1),
-        SimulatedFleet::new(FleetSimConfig::fast(2, SEED)),
+        SimulatedFleet::new(FleetSimConfig::fast(2, SEED).with_acq_mode(AcqMode::Trial)),
     );
     let in_proc = svc.client();
     let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind loopback");
-    let mut client = TcpFleetClient::connect(server.local_addr()).expect("connect");
+    let mut client = PipelinedFleetClient::connect(server.local_addr()).expect("connect");
     client
-        .call(&Request::Enroll {
-            device: "bus-000".into(),
-            nonce: 1,
-        })
+        .call(
+            &Request::Enroll {
+                device: "bus-000".into(),
+                nonce: 1,
+            },
+            None,
+        )
         .expect("enroll");
 
     // Unknown device comes back as the typed error, not a dead socket.
     let err = client
-        .call(&Request::Verify {
-            device: "bus-999".into(),
-            nonce: 5,
-        })
+        .call(
+            &Request::Verify {
+                device: "bus-999".into(),
+                nonce: 5,
+            },
+            None,
+        )
         .expect_err("unknown device must fail");
     assert!(matches!(err, FleetError::UnknownDevice(ref d) if d == "bus-999"), "{err:?}");
 
@@ -111,8 +135,9 @@ fn tcp_errors_cross_the_wire_typed() {
     // then send a 1 ms deadline over the wire: it queues behind work
     // that takes longer than that, so it must come back
     // `DeadlineExceeded` — and the connection must stay usable.
-    let stop = std::sync::atomic::AtomicBool::new(false);
+    let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
+        let _stop_load = StopOnDrop(&stop);
         for t in 0..2u64 {
             let (stop, in_proc) = (&stop, in_proc.clone());
             scope.spawn(move || {
@@ -132,19 +157,21 @@ fn tcp_errors_cross_the_wire_typed() {
             std::thread::yield_now();
         }
         let err = client
-            .call_with_deadline(
+            .call(
                 &Request::Verify {
                     device: "bus-000".into(),
                     nonce: 6,
                 },
-                Duration::from_millis(1),
+                Some(Duration::from_millis(1)),
             )
             .expect_err("1 ms deadline behind queued work must miss");
         assert!(matches!(err, FleetError::DeadlineExceeded), "{err:?}");
-        stop.store(true, Ordering::Relaxed);
     });
 
-    match client.call(&Request::RegistrySnapshot).expect("socket survives") {
+    match client
+        .call(&Request::RegistrySnapshot, None)
+        .expect("socket survives")
+    {
         Response::Snapshot { devices } => assert_eq!(devices.len(), 1),
         other => panic!("unexpected {other:?}"),
     }

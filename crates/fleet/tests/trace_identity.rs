@@ -28,14 +28,19 @@ fn run_burst() -> Vec<Vec<u8>> {
     let devices: Vec<(String, u64)> = (0..DEVICES)
         .map(|i| (SimulatedFleet::device_name(i), 1))
         .collect();
-    let batch: Vec<(Request, Option<std::time::Duration>)> = std::iter::once((
-        Request::EnrollBatch {
-            devices: devices.clone(),
-        },
-        None,
-    ))
-    .collect();
-    let ids = client.send_batch(&batch).expect("enroll");
+    let enrolls: Vec<(Request, Option<std::time::Duration>)> = devices
+        .iter()
+        .map(|(device, nonce)| {
+            (
+                Request::Enroll {
+                    device: device.clone(),
+                    nonce: *nonce,
+                },
+                None,
+            )
+        })
+        .collect();
+    let ids = client.send_batch(&enrolls).expect("enroll");
     let mut outcomes = std::collections::BTreeMap::new();
     wait_for(&mut client, &ids, &mut outcomes);
 

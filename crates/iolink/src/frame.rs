@@ -11,7 +11,6 @@
 //! payload exposure* under an eavesdropping attack, and so corruption-
 //! detection behavior is testable.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Frame preamble bytes.
@@ -36,7 +35,7 @@ pub fn crc16(data: &[u8]) -> u16 {
 }
 
 /// One link frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Sequence number.
     pub seq: u32,

@@ -16,7 +16,6 @@ use divot_core::monitor::{BusMonitor, MonitorConfig, MonitorState};
 use divot_telemetry::Value;
 use divot_txline::scatter::TxLine;
 use divot_txline::units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Link configuration.
 #[derive(Debug, Clone, Copy)]
@@ -50,7 +49,7 @@ impl Default for LinkConfig {
 }
 
 /// The link's operational state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkState {
     /// Not brought up yet.
     Down,
@@ -61,7 +60,7 @@ pub enum LinkState {
 }
 
 /// Events reported by the link.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LinkEvent {
     /// Bring-up (calibration) completed.
     CameUp,
@@ -97,7 +96,7 @@ impl std::fmt::Display for SendError {
 impl std::error::Error for SendError {}
 
 /// Cumulative link statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStatsCounters {
     /// Frames delivered end-to-end.
     pub delivered: u64,

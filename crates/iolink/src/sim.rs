@@ -6,7 +6,6 @@ use crate::link::LinkState;
 use divot_dsp::rng::DivotRng;
 use divot_txline::attack::Attack;
 use divot_txline::board::{Board, BoardConfig};
-use serde::{Deserialize, Serialize};
 
 /// A frame-indexed scenario event.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +57,7 @@ impl Default for LinkSimConfig {
 }
 
 /// Results of a link simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Send attempts.
     pub attempted: u64,

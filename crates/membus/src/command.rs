@@ -1,9 +1,7 @@
 //! The DRAM command set carried on the (protected) command/address bus.
 
-use serde::{Deserialize, Serialize};
-
 /// One command on the DRAM command bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DramCommand {
     /// Open `row` in `bank` (row access / sense).
     Activate {

@@ -14,10 +14,9 @@
 use crate::dram::{CommandError, DramModule, DramTiming};
 use crate::request::{AddressMap, MemRequest, Op};
 use crate::scheduler::{Decision, Scheduler, SchedulerConfig};
-use serde::{Deserialize, Serialize};
 
 /// A finished request leaving the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// The request id.
     pub id: u64,
@@ -30,7 +29,7 @@ pub struct Completion {
 }
 
 /// Controller statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControllerStats {
     /// Commands issued on the command bus.
     pub commands_issued: u64,

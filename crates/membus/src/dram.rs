@@ -9,11 +9,10 @@
 
 use crate::command::DramCommand;
 use crate::request::AddressMap;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// DRAM timing parameters, in controller clock cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramTiming {
     /// Activate-to-column delay (tRCD).
     pub t_rcd: u64,
@@ -44,7 +43,7 @@ impl Default for DramTiming {
 }
 
 /// The state of one bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BankState {
     /// No row open.
     Idle,
@@ -65,7 +64,7 @@ pub enum BankState {
 }
 
 /// Why a command was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandError {
     /// The bank is not in a state that allows this command yet.
     BankBusy,
@@ -99,7 +98,7 @@ impl std::fmt::Display for CommandError {
 impl std::error::Error for CommandError {}
 
 /// Completion notice for an accepted column access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnAccess {
     /// Data read (reads) or written (writes).
     pub data: u64,
@@ -108,7 +107,7 @@ pub struct ColumnAccess {
 }
 
 /// Access statistics of the module.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModuleStats {
     /// Reads served.
     pub reads: u64,

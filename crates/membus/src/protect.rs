@@ -21,7 +21,6 @@ use divot_txline::attack::Attack;
 use divot_txline::board::{Board, BoardConfig};
 use divot_telemetry::Value;
 use divot_txline::scatter::Network;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the DIVOT protection layer.
 #[derive(Debug, Clone, Copy)]
@@ -64,7 +63,7 @@ impl Default for ProtectionConfig {
 }
 
 /// A cycle-stamped scripted event in an attack scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioEvent {
     /// Apply a physical attack to the bus at the given cycle.
     Attack {
@@ -100,7 +99,7 @@ impl ScenarioEvent {
 }
 
 /// Security accounting of a protected run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SecurityStats {
     /// Cycle of the first scripted attack, if any fired.
     pub attack_cycle: Option<u64>,

@@ -1,9 +1,7 @@
 //! Memory requests and physical address mapping.
 
-use serde::{Deserialize, Serialize};
-
 /// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// A read request.
     Read,
@@ -12,7 +10,7 @@ pub enum Op {
 }
 
 /// One memory request entering the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Unique request id (monotone per workload).
     pub id: u64,
@@ -27,7 +25,7 @@ pub struct MemRequest {
 }
 
 /// The decoded DRAM coordinates of an address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Decoded {
     /// Bank index.
     pub bank: usize,
@@ -41,7 +39,7 @@ pub struct Decoded {
 ///
 /// Low bits select the column (locality within a row), middle bits the
 /// bank (spreads consecutive rows across banks), high bits the row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMap {
     /// log2 of columns per row.
     pub col_bits: u32,

@@ -10,11 +10,10 @@
 use crate::command::DramCommand;
 use crate::dram::{BankState, DramModule};
 use crate::request::{AddressMap, MemRequest, Op};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Command-arbitration policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArbiterPolicy {
     /// First-ready, first-come first-served: row hits bypass older misses
     /// (the paper's cited Rixner et al. scheduler).
@@ -24,7 +23,7 @@ pub enum ArbiterPolicy {
 }
 
 /// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PagePolicy {
     /// Leave rows open after column accesses (bets on locality).
     OpenPage,
@@ -34,7 +33,7 @@ pub enum PagePolicy {
 }
 
 /// Scheduler configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Maximum queued requests.
     pub queue_capacity: usize,

@@ -2,10 +2,9 @@
 
 use crate::request::{MemRequest, Op};
 use divot_dsp::rng::DivotRng;
-use serde::{Deserialize, Serialize};
 
 /// Address-generation pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Sequential with a fixed stride (streaming).
     Sequential {
@@ -22,7 +21,7 @@ pub enum AccessPattern {
 }
 
 /// Workload configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
     /// The address pattern.
     pub pattern: AccessPattern,

@@ -23,10 +23,9 @@ use crate::scatter::{Network, Tap};
 use crate::termination::{ChipInput, Termination};
 use crate::units::Meters;
 use divot_dsp::rng::DivotRng;
-use serde::{Deserialize, Serialize};
 
 /// A physical attack on a bus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Attack {
     /// Replace the far-end chip (Trojan insertion / cold-boot swap).
     LoadSwap {

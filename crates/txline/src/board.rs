@@ -12,10 +12,9 @@ use crate::scatter::TxLine;
 use crate::termination::{ChipInput, Termination};
 use crate::units::{Farads, Meters, Ohms};
 use divot_dsp::rng::DivotRng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a board build.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoardConfig {
     /// The PCB fabrication process.
     pub process: FabricationProcess,
@@ -122,7 +121,7 @@ impl DesignPrecompute {
 }
 
 /// A fabricated board: a family of distinct Tx-lines from one process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Board {
     lines: Vec<TxLine>,
     seed: u64,

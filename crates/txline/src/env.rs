@@ -16,10 +16,9 @@
 
 use crate::scatter::Network;
 use crate::units::{Celsius, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Temperature as a function of time during an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TemperatureProfile {
     /// Constant ambient temperature.
     Constant(Celsius),
@@ -64,7 +63,7 @@ impl TemperatureProfile {
 }
 
 /// Chirped mechanical vibration applied to the board.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Vibration {
     /// Chirp start frequency (Hz).
     pub freq_start: f64,
@@ -105,7 +104,7 @@ impl Vibration {
 }
 
 /// The complete ambient environment of an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Environment {
     /// Temperature over time.
     pub temperature: TemperatureProfile,
@@ -210,7 +209,7 @@ impl Environment {
 
 /// Quantized snapshot of the environment, usable as a cache key (the
 /// response of a network in a given state is deterministic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EnvState {
     z_scale_q: i64,
     velocity_scale_q: i64,

@@ -16,7 +16,6 @@
 
 use crate::units::{Meters, Ohms};
 use divot_dsp::rng::{DivotRng, OrnsteinUhlenbeck, OuCoeffs};
-use serde::{Deserialize, Serialize};
 
 /// Design-level precomputation of [`FabricationProcess::sample_profile`]:
 /// everything the sampler derives from `(process, length, segments)` alone
@@ -49,7 +48,7 @@ impl LinePrecompute {
 
 /// Statistical description of the PCB fabrication process that produces
 /// Tx-lines, i.e. the prior from which IIPs are drawn.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FabricationProcess {
     /// Nominal characteristic impedance (e.g. 50 Ω).
     pub z0: Ohms,
@@ -177,7 +176,7 @@ impl FabricationProcess {
 /// The impedance-vs-distance profile of one Tx-line: `z[k]` is the
 /// characteristic impedance of segment `k`, each of physical length
 /// [`IipProfile::segment_length`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IipProfile {
     z: Vec<f64>,
     segment_length: Meters,

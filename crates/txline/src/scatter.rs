@@ -35,11 +35,10 @@ use crate::iip::IipProfile;
 use crate::termination::{Reflector, Termination};
 use crate::units::{Meters, Ohms, Seconds, Volts, PCB_VELOCITY_M_PER_S};
 use divot_dsp::waveform::Waveform;
-use serde::{Deserialize, Serialize};
 
 /// A complete Tx-line: its IIP, propagation velocity, loss, and far-end
 /// termination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TxLine {
     /// The impedance-vs-distance profile (the fingerprint).
     pub profile: IipProfile,
@@ -83,7 +82,7 @@ impl TxLine {
 }
 
 /// A stub line soldered onto the main line (the wire-tap model).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StubSpec {
     /// Physical stub length (the tap wire to the eavesdropping instrument).
     pub length: Meters,
@@ -107,7 +106,7 @@ impl StubSpec {
 }
 
 /// A tap junction on the main line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tap {
     /// Position along the main line as a fraction in `(0, 1)`.
     pub position: f64,
@@ -116,7 +115,7 @@ pub struct Tap {
 }
 
 /// A main line plus any attached taps — what the scattering engine solves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     /// The protected Tx-line.
     pub main: TxLine,
@@ -139,7 +138,7 @@ impl Network {
 }
 
 /// The shape of a launched voltage edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeShape {
     /// Linear ramp over the rise time.
     Linear,
@@ -182,7 +181,7 @@ impl EdgeShape {
 /// assert_eq!(hot.source_impedance, SimConfig::default().source_impedance);
 /// assert!(hot.amplitude.0 > SimConfig::default().amplitude.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Output impedance of the driving transmitter.
     pub source_impedance: Ohms,

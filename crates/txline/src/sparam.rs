@@ -10,10 +10,9 @@
 
 use crate::scatter::{Network, SimConfig};
 use divot_dsp::fft::{bin_frequency, fft_real, magnitude};
-use serde::{Deserialize, Serialize};
 
 /// One S11 sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct S11Point {
     /// Frequency in Hz.
     pub frequency: f64,

@@ -7,10 +7,9 @@
 //! receiver chip, whose reflection is a first-order filtered response.
 
 use crate::units::{Farads, Ohms};
-use serde::{Deserialize, Serialize};
 
 /// A far-end load on a Tx-line.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Termination {
     /// Perfectly matched to the local line impedance: no reflection.
     Matched,
@@ -26,7 +25,7 @@ pub enum Termination {
 }
 
 /// The R ∥ C input network of a receiver chip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipInput {
     /// On-die termination / input resistance.
     pub resistance: Ohms,

@@ -21,10 +21,9 @@ use crate::scatter::{Network, StubSpec, Tap, TxLine};
 use crate::termination::{ChipInput, Termination};
 use crate::units::{Meters, Ohms};
 use divot_dsp::rng::DivotRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a fly-by multi-drop bus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiDropConfig {
     /// The PCB process for the main trace and stubs.
     pub process: FabricationProcess,

@@ -4,13 +4,12 @@
 //! degrees Celsius from being confused at API boundaries (C-NEWTYPE). They
 //! are passive data in the C spirit, so the inner value is public.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! quantity {
     ($(#[$doc:meta])* $name:ident, $unit:literal) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(pub f64);
 
         impl $name {

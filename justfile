@@ -9,10 +9,12 @@ check: build test doc clippy
 build:
     cargo build --release --workspace
 
-# Tier-1 (root package: integration lifecycles) then the full workspace.
+# Tier-1 (root package: integration lifecycles), then the full workspace
+# in debug and in release.
 test:
     cargo test -q
     cargo test --workspace -q
+    cargo test --release --workspace -q
 
 # Rustdoc must be warning-free (missing_docs is warn in every crate).
 doc:
@@ -40,8 +42,9 @@ bench-itdr:
     CRITERION_JSON="$(pwd)/BENCH_itdr.json" cargo bench -p divot-bench --bench itdr
 
 # Fleet attestation smoke: enroll 8 buses, 64 concurrent verifies over
-# loopback TCP, a 1-vs-8-worker scaling gate, then the cohort smoke (one
-# 64-board EnrollBatch under the 4 ms/board amortized budget). Zero
+# loopback TCP, a 1-vs-8-worker scaling gate, then the cohort smoke (64
+# solo enrolls through the default worker pool under the 4 ms/board
+# amortized budget) and the reactor wire smoke. Zero
 # sheds, all-accept, bitwise-identical verdicts across worker counts,
 # warm p50 < 2 ms, and speedup-not-inverted (on >=2 cores) are hard
 # claims (nonzero exit on a MISS).
@@ -51,17 +54,18 @@ fleet-demo:
 # Full fleet load benchmark: 64 buses, 16 concurrent clients, cold
 # (first-touch fabrication) and warm (cached) phases at 1 and 8 workers,
 # the overload/shedding phase, the 1000-board cohort intake, and the
-# wire phases (reactor-vs-threaded, 10k connections, churn, fairness).
+# wire phases (reactor at 1024 connections, 10k connections, churn,
+# fairness).
 # Writes BENCH_fleet.json (per-phase throughput, p50/p99, speedups, shed
 # rate, cohort and wire metrics) at the repo root.
 bench-fleet:
     cargo run --release -p divot-bench --bin fleet_load
 
-# Cohort cold path only: enroll a fresh 1000-board cohort through
-# chunked EnrollBatch requests on one worker, against a solo-enroll
-# baseline. Hard claim: amortized cold p50 <= 4 ms/board (algorithmic —
-# asserted on any core count; the batch-vs-solo ratio is only asserted
-# on >=2 cores). Writes BENCH_fleet.json with the fleet/cohort/* metrics.
+# Cohort cold path only: enroll a fresh 1000-board cohort as solo Enroll
+# requests through the default worker pool from two client threads, timed
+# in 64-board chunks. Hard claim: amortized cold p50 <= 4 ms/board
+# (algorithmic — asserted on any core count). Writes BENCH_fleet.json
+# with the fleet/cohort/* metrics.
 bench-cohort:
     DIVOT_FLEET_PHASES=cohort cargo run --release -p divot-bench --bin fleet_load
 
@@ -74,10 +78,9 @@ bench-cohort:
 bench-cohort-intake:
     cargo run --release -p divot-bench --bin cohort_intake
 
-# Wire phases only: threaded-vs-reactor throughput at 1024 connections
-# (>=5x claim), byte-equivalence probe, 10k-connection scaling (child
-# driver), churn p99, and overload fairness. Writes BENCH_fleet.json with
-# the fleet/wire/* metrics.
+# Wire phases only: reactor throughput at 1024 connections,
+# 10k-connection scaling (child driver), churn p99, and overload
+# fairness. Writes BENCH_fleet.json with the fleet/wire/* metrics.
 bench-wire:
     DIVOT_FLEET_PHASES=wire cargo run --release -p divot-bench --bin fleet_load
 
