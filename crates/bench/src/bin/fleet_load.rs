@@ -1,26 +1,28 @@
-//! Load benchmark for the `divot-fleet` attestation service: N concurrent
-//! clients hammering verifies against M enrolled buses, in two phases per
-//! worker count — **cold** (every request is new: memoized fabrication
-//! serves the boards, the acquisition engine runs per request) and
-//! **warm** (the identical request list replayed: every verdict is a
-//! cache hit) — comparing single-worker against 8-worker throughput,
-//! measuring per-phase p50/p99 latency, and provoking overload to
-//! demonstrate typed shedding.
+//! Load benchmark for the `divot-fleet` attestation service: the phases
+//! the wire benchmark of record (`divot_benchmark`, named in
+//! `BENCHMARK.json`) cannot express, because its generator is capped at
+//! two connections and its service runs the default worker count.
+//!
+//! - **worker scaling**: one cold drive over the wire against a fresh
+//!   service at 1 and at 8 workers (`speedup_not_inverted` on ≥2 cores,
+//!   `speedup_at_least_4x` on ≥8; SKIPPED on smaller hosts and under
+//!   `--serial`);
+//! - **overload burst**: typed sheds from a 1-worker, capacity-4 queue;
+//! - **connection scaling**: the reactor at 1024 pipelined connections,
+//!   at 10 000 connections (driven from a child process), and under
+//!   reconnect churn;
+//! - **overload fairness**: one greedy pipeline against seven modest
+//!   connections.
 //!
 //! Run: `cargo run --release -p divot-bench --bin fleet_load`
-//! (`--quick` runs the CI smoke instead: enroll 8 buses, 64 concurrent
-//! verifies over loopback TCP, plus an in-process 1-vs-8-worker scaling
-//! gate; `--serial` pins the service to one worker and skips the scaling
-//! comparison).
+//! (`--quick` runs the CI smoke instead: the worker-scaling drive, then a
+//! 512-connection reactor smoke and a wire stats probe).
 //!
 //! Full mode writes `BENCH_fleet.json` (path override:
-//! `DIVOT_FLEET_JSON`) in the same shape the vendored criterion shim
-//! emits, so the scaling numbers land next to `BENCH_itdr.json` and
-//! `BENCH_scatter.json`. Scaling claims are only asserted when the
-//! machine has cores to scale onto (the ≥4× 8-worker target needs ≥8
-//! cores, the ≥1× floor needs ≥2); on smaller hosts they are reported
-//! but SKIPPED. The warm-path latency target (p50 < 2 ms) is asserted
-//! unconditionally — a cache hit does not need cores.
+//! `DIVOT_FLEET_JSON`): host cores, git revision and the repeat count,
+//! then one row per metric. The worker-scaling and 1024-connection
+//! throughputs are the best of [`REPEATS`] passes; the other phases run
+//! once, because their claims are thresholds.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -41,124 +43,20 @@ use divot_polling::{Event as PollEvent, Poller};
 /// Fleet seed (any fixed value; verdicts are pure in it).
 const SEED: u64 = 2020;
 
-/// Nonce base of the verify workload; cold and warm phases replay the
-/// *same* nonces, which is what makes warm a pure cache-hit phase.
-const NONCE_BASE: u64 = 10_000;
+/// Passes behind each best-of throughput figure.
+const REPEATS: usize = 2;
 
-/// One completed verify: request index, verdict, exact similarity bits,
-/// and client-observed latency.
-#[derive(Debug, Clone)]
-struct Sample {
-    index: usize,
-    accepted: bool,
-    bits: u64,
-    latency: Duration,
-}
+/// Buses behind the wire phases and the worker-scaling drive.
+const WIRE_BUSES: usize = 64;
+/// Distinct warm `(device, nonce)` pairs the parent primes before any
+/// wire phase; the driver's workload cycles through exactly this set,
+/// so steady-state serving is the reactor's cache-inline fast path.
+const WIRE_WARM_SPAN: usize = 4096;
+/// Nonce base of the warm wire workload.
+const WIRE_NONCE_BASE: u64 = 1_000_000;
 
-/// One measured phase: its samples (request order) plus wall clock and
-/// shed count.
-struct Phase {
-    samples: Vec<Sample>,
-    elapsed: Duration,
-    sheds: usize,
-}
-
-impl Phase {
-    fn rps(&self) -> f64 {
-        self.samples.len() as f64 / self.elapsed.as_secs_f64()
-    }
-
-    fn report(&self, requests: usize) {
-        print_metric("throughput_rps", format!("{:.2}", self.rps()));
-        print_metric("p50_ms", ms(quantile(&self.samples, 0.5)));
-        print_metric("p99_ms", ms(quantile(&self.samples, 0.99)));
-        print_metric("sheds", self.sheds);
-        print_claim(
-            "all_requests_served",
-            self.samples.len() == requests && self.sheds == 0,
-        );
-        print_claim("all_accept", self.samples.iter().all(|s| s.accepted));
-    }
-
-    fn bits(&self) -> Vec<(bool, u64)> {
-        self.samples.iter().map(|s| (s.accepted, s.bits)).collect()
-    }
-}
-
-/// Both phases of one worker configuration.
-struct Run {
-    workers: usize,
-    cold: Phase,
-    warm: Phase,
-}
-
-/// Drive the fixed verify workload (`requests` many, round-robin over
-/// `buses`, nonces `NONCE_BASE + index`) from `clients` concurrent
-/// client threads. Returns samples in request order.
-fn drive_phase(client: &FleetClient, buses: usize, clients: usize, requests: usize) -> Phase {
-    let next = AtomicUsize::new(0);
-    let sheds = AtomicUsize::new(0);
-    let started = Instant::now();
-    let mut samples = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let (next, sheds, client) = (&next, &sheds, client.clone());
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= requests {
-                            return mine;
-                        }
-                        let request = Request::Verify {
-                            device: SimulatedFleet::device_name(index % buses),
-                            nonce: NONCE_BASE + index as u64,
-                        };
-                        let t0 = Instant::now();
-                        match client.call(request) {
-                            Ok(Response::Verdict {
-                                accepted,
-                                similarity,
-                                ..
-                            }) => mine.push(Sample {
-                                index,
-                                accepted,
-                                bits: similarity.to_bits(),
-                                latency: t0.elapsed(),
-                            }),
-                            Err(FleetError::Overloaded { .. }) => {
-                                sheds.fetch_add(1, Ordering::Relaxed);
-                            }
-                            other => panic!("unexpected {other:?}"),
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread"))
-            .collect::<Vec<_>>()
-    });
-    let elapsed = started.elapsed();
-    samples.sort_by_key(|s| s.index);
-    Phase {
-        samples,
-        elapsed,
-        sheds: sheds.load(Ordering::Relaxed),
-    }
-}
-
-/// Start a `workers`-worker service over `buses` enrolled devices and
-/// drive the cold phase (fresh service, every request new) followed by
-/// the warm phase (the identical request list — pure verdict-cache
-/// hits).
-fn run_workers(workers: usize, buses: usize, clients: usize, requests: usize) -> Run {
-    let svc = FleetService::start(
-        FleetConfig::default().with_workers(workers),
-        SimulatedFleet::new(FleetSimConfig::fast(buses, SEED)),
-    );
-    let client = svc.client();
+/// Enroll buses `0..buses` through `client`.
+fn enroll_all(client: &FleetClient, buses: usize) {
     for i in 0..buses {
         client
             .call(Request::Enroll {
@@ -167,260 +65,56 @@ fn run_workers(workers: usize, buses: usize, clients: usize, requests: usize) ->
             })
             .expect("enroll");
     }
-    let cold = drive_phase(&client, buses, clients, requests);
-    let warm = drive_phase(&client, buses, clients, requests);
-    Run {
-        workers,
-        cold,
-        warm,
-    }
 }
 
-/// The `q`-quantile (0..=1) of the recorded latencies.
-fn quantile(samples: &[Sample], q: f64) -> Duration {
-    let mut lat: Vec<Duration> = samples.iter().map(|s| s.latency).collect();
-    lat.sort_unstable();
-    let idx = ((lat.len() as f64 - 1.0) * q).round() as usize;
-    lat[idx.min(lat.len() - 1)]
+// ---------------------------------------------------------------------
+// The wire load driver and its child-process protocol
+// ---------------------------------------------------------------------
+
+/// Why a driver spec or report line did not decode.
+#[derive(Debug, PartialEq)]
+enum ProtocolError {
+    /// A field without `key=value` shape.
+    Malformed(String),
+    /// A key the protocol does not define.
+    UnknownKey(String),
+    /// A value that does not parse for its key.
+    BadValue(String),
+    /// A spec without `addr` or with zero `conns`.
+    Incomplete,
 }
 
-fn ms(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64() * 1e3)
-}
-
-/// CI smoke: 8 buses enrolled over loopback TCP, 64 concurrent verifies
-/// from independent TCP connections (zero sheds, all-accept are hard
-/// claims) — then an in-process 1-vs-8-worker scaling gate on the same
-/// workload shape, asserted only where there are cores to scale onto.
-fn quick_smoke() {
-    const BUSES: usize = 8;
-    const VERIFIES: usize = 64;
-    banner("fleet smoke (loopback TCP)");
-    let svc = FleetService::start(
-        FleetConfig::default(),
-        SimulatedFleet::new(FleetSimConfig::fast(BUSES, SEED)),
-    );
-    let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind loopback");
-    let addr = server.local_addr();
-    print_metric("buses", BUSES);
-    print_metric("concurrent_verifies", VERIFIES);
-    print_metric("listen_addr", addr);
-
-    let mut enroll_client = PipelinedFleetClient::connect(addr).expect("connect");
-    for i in 0..BUSES {
-        enroll_client
-            .call(
-                &Request::Enroll {
-                    device: SimulatedFleet::device_name(i),
-                    nonce: 1,
-                },
-                None,
-            )
-            .expect("enroll over TCP");
-    }
-
-    let sheds = AtomicUsize::new(0);
-    let accepts = AtomicUsize::new(0);
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for k in 0..VERIFIES {
-            let (sheds, accepts) = (&sheds, &accepts);
-            scope.spawn(move || {
-                let mut c = PipelinedFleetClient::connect(addr).expect("connect");
-                let verify = Request::Verify {
-                    device: SimulatedFleet::device_name(k % BUSES),
-                    nonce: 5_000 + k as u64,
-                };
-                match c.call(&verify, None) {
-                    Ok(Response::Verdict { accepted, .. }) => {
-                        if accepted {
-                            accepts.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    Err(FleetError::Overloaded { .. }) => {
-                        sheds.fetch_add(1, Ordering::Relaxed);
-                    }
-                    other => panic!("unexpected {other:?}"),
-                }
-            });
+impl std::fmt::Display for ProtocolError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Malformed(field) => write!(f, "malformed field {field:?}"),
+            Self::UnknownKey(key) => write!(f, "unknown key {key:?}"),
+            Self::BadValue(field) => write!(f, "bad value in {field:?}"),
+            Self::Incomplete => write!(f, "driver spec needs addr and conns"),
         }
-    });
-    print_metric(
-        "smoke_wall_clock_s",
-        format!("{:.2}", started.elapsed().as_secs_f64()),
-    );
-    print_metric("accepts", accepts.load(Ordering::Relaxed));
-    print_metric("sheds", sheds.load(Ordering::Relaxed));
-    print_claim("smoke_zero_sheds", sheds.load(Ordering::Relaxed) == 0);
-    print_claim(
-        "smoke_all_accept",
-        accepts.load(Ordering::Relaxed) == VERIFIES,
-    );
-
-    banner("fleet smoke (worker scaling gate)");
-    let cores = divot_dsp::par::max_threads();
-    print_metric("cores", cores);
-    let one = run_workers(1, BUSES, 8, VERIFIES);
-    let eight = run_workers(8, BUSES, 8, VERIFIES);
-    let speedup = eight.cold.rps() / one.cold.rps();
-    print_metric("cold_rps_workers_1", format!("{:.2}", one.cold.rps()));
-    print_metric("cold_rps_workers_8", format!("{:.2}", eight.cold.rps()));
-    print_metric("speedup_8_over_1", format!("{speedup:.2}"));
-    print_metric("warm_p50_ms_workers_1", ms(quantile(&one.warm.samples, 0.5)));
-    print_claim(
-        "smoke_verdicts_bitwise_identical_1_vs_8",
-        one.cold.bits() == eight.cold.bits() && one.warm.bits() == eight.warm.bits(),
-    );
-    print_claim(
-        "smoke_warm_p50_under_2ms",
-        quantile(&one.warm.samples, 0.5) < Duration::from_millis(2),
-    );
-    // 8 workers can only beat 1 worker where a second core exists to run
-    // them: on a single-core host the gate is reported, not asserted.
-    if cores >= 2 {
-        print_claim("smoke_speedup_not_inverted", speedup >= 1.0);
-    } else {
-        print_metric(
-            "smoke_speedup_not_inverted",
-            format!("SKIPPED (needs >=2 cores, have {cores})"),
-        );
     }
 }
 
-// ---------------------------------------------------------------------
-// Cohort cold path: enrollment intake
-// ---------------------------------------------------------------------
-
-/// Client threads feeding the cohort enrolls, matching the default
-/// worker pool of a 2-core host.
-const COHORT_CLIENTS: usize = 2;
-
-/// Enroll boards `range` as solo `Enroll` requests through the default
-/// worker pool, from [`COHORT_CLIENTS`] client threads (board `i` goes
-/// to thread `i % COHORT_CLIENTS`). Returns how many were enrolled.
-fn enroll_solo(client: &FleetClient, range: std::ops::Range<usize>) -> usize {
-    let enrolled = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for t in 0..COHORT_CLIENTS {
-            let (client, enrolled, range) = (client.clone(), &enrolled, range.clone());
-            scope.spawn(move || {
-                for i in range.skip(t).step_by(COHORT_CLIENTS) {
-                    let done = client.call(Request::Enroll {
-                        device: SimulatedFleet::device_name(i),
-                        nonce: 1,
-                    });
-                    if matches!(done, Ok(Response::Enrolled { .. })) {
-                        enrolled.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    enrolled.into_inner()
+/// Split a space-separated `key=value` line.
+fn fields(line: &str) -> impl Iterator<Item = Result<(&str, &str), ProtocolError>> {
+    line.split_whitespace().map(|field| {
+        field
+            .split_once('=')
+            .ok_or_else(|| ProtocolError::Malformed(field.to_owned()))
+    })
 }
 
-/// Enroll a fresh cohort in chunks of `chunk` boards, each chunk as solo
-/// enrolls through the default worker pool ([`enroll_solo`]), measuring
-/// the amortized cold cost per board. The cold path under test is
-/// algorithmic: bracketed analytic sweeps, shared design precompute,
-/// hoisted point laws.
-fn cohort_phase(devices: usize, chunk: usize) -> Vec<(String, f64)> {
-    banner(&format!(
-        "cohort intake ({devices} boards, solo enrolls from {COHORT_CLIENTS} clients, \
-         timed in chunks of {chunk})"
-    ));
-    let svc = FleetService::start(
-        FleetConfig::default(),
-        SimulatedFleet::new(FleetSimConfig::fast(devices, SEED)),
-    );
-    let client = svc.client();
-    let mut chunk_ms_per_board: Vec<f64> = Vec::new();
-    let mut enrolled = 0usize;
-    let started = Instant::now();
-    for start in (0..devices).step_by(chunk) {
-        let end = (start + chunk).min(devices);
-        let t0 = Instant::now();
-        enrolled += enroll_solo(&client, start..end);
-        chunk_ms_per_board.push(t0.elapsed().as_secs_f64() * 1e3 / (end - start) as f64);
-    }
-    let total = started.elapsed();
-    chunk_ms_per_board.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let p50 = chunk_ms_per_board[(chunk_ms_per_board.len() - 1) / 2];
-    let mean = total.as_secs_f64() * 1e3 / devices as f64;
-    print_metric("workers", svc.worker_count());
-    print_metric("enrolled", enrolled);
-    print_metric("cohort_wall_clock_s", format!("{:.2}", total.as_secs_f64()));
-    print_metric("ms_per_board_p50", format!("{p50:.3}"));
-    print_metric("ms_per_board_mean", format!("{mean:.3}"));
-    print_claim("cohort_all_enrolled", enrolled == devices);
-    // The ≤4 ms/board target is algorithmic — asserted on any host.
-    print_claim("cohort_cold_p50_under_4ms_per_board", p50 <= 4.0);
-    // Spot-check: a cohort-enrolled board verifies like any other.
-    let accepts = [0, devices / 2, devices - 1].iter().all(|&i| {
-        matches!(
-            client.call(Request::Verify {
-                device: SimulatedFleet::device_name(i),
-                nonce: NONCE_BASE + i as u64,
-            }),
-            Ok(Response::Verdict { accepted: true, .. })
-        )
-    });
-    print_claim("cohort_spot_verifies_accept", accepts);
-    vec![
-        ("fleet/cohort/devices".into(), devices as f64),
-        ("fleet/cohort/chunk".into(), chunk as f64),
-        ("fleet/cohort/ms_per_board_p50".into(), p50),
-        ("fleet/cohort/ms_per_board_mean".into(), mean),
-    ]
+fn parse<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, ProtocolError> {
+    value
+        .parse()
+        .map_err(|_| ProtocolError::BadValue(format!("{key}={value}")))
 }
 
-/// The `--quick` cohort smoke: 64 boards enrolled as solo enrolls
-/// through the default worker pool must all land inside the amortized
-/// cold budget and leave the cohort verifiable.
-fn quick_cohort_smoke() {
-    banner("cohort smoke (64 solo enrolls)");
-    const BOARDS: usize = 64;
-    let svc = FleetService::start(
-        FleetConfig::default(),
-        SimulatedFleet::new(FleetSimConfig::fast(BOARDS, SEED)),
-    );
-    let client = svc.client();
-    let t0 = Instant::now();
-    let enrolled = enroll_solo(&client, 0..BOARDS);
-    let per_board_ms = t0.elapsed().as_secs_f64() * 1e3 / BOARDS as f64;
-    print_metric("boards", BOARDS);
-    print_metric("ms_per_board", format!("{per_board_ms:.3}"));
-    print_claim("cohort_smoke_all_enrolled", enrolled == BOARDS);
-    print_claim("cohort_smoke_under_4ms_per_board", per_board_ms <= 4.0);
-    let ok = matches!(
-        client.call(Request::Verify {
-            device: SimulatedFleet::device_name(BOARDS - 1),
-            nonce: 42,
-        }),
-        Ok(Response::Verdict { accepted: true, .. })
-    );
-    print_claim("cohort_smoke_verify_accepts", ok);
-}
-
-// ---------------------------------------------------------------------
-// Event-driven wire layer: connection-scaling load driver and phases
-// ---------------------------------------------------------------------
-
-/// Buses behind the wire-layer phases.
-const WIRE_BUSES: usize = 64;
-/// Distinct warm `(device, nonce)` pairs the parent primes before any
-/// wire phase; the driver's workload cycles through exactly this set,
-/// so steady-state serving is the reactor's cache-inline fast path.
-const WIRE_WARM_SPAN: usize = 4096;
-/// Nonce base of the warm wire workload (disjoint from the classic
-/// phases' `NONCE_BASE` range).
-const WIRE_NONCE_BASE: u64 = 1_000_000;
-
-/// One wire-load job: N pipelined v2 connections replaying the warm
-/// workload against `addr`. Serialized through the
-/// `DIVOT_FLEET_DRIVER` environment variable when the job must run in
-/// a child process (10k connections need their own FD budget).
-#[derive(Debug, Clone)]
+/// One wire-load job: N pipelined connections replaying the workload
+/// against `addr`. Serialized through the `DIVOT_FLEET_DRIVER`
+/// environment variable when the job must run in a child process (10k
+/// connections need their own FD budget).
+#[derive(Debug, Clone, PartialEq)]
 struct DriveSpec {
     addr: String,
     conns: usize,
@@ -437,7 +131,7 @@ struct DriveSpec {
 impl DriveSpec {
     fn encode(&self) -> String {
         format!(
-            "addr={};conns={};pipeline={};per_conn={};buses={};warm_span={};nonce_base={};churn={}",
+            "addr={} conns={} pipeline={} per_conn={} buses={} warm_span={} nonce_base={} churn={}",
             self.addr,
             self.conns,
             self.pipeline,
@@ -449,7 +143,7 @@ impl DriveSpec {
         )
     }
 
-    fn decode(s: &str) -> Result<Self, String> {
+    fn decode(line: &str) -> Result<Self, ProtocolError> {
         let mut spec = Self {
             addr: String::new(),
             conns: 0,
@@ -460,27 +154,22 @@ impl DriveSpec {
             nonce_base: 0,
             churn_every: 0,
         };
-        for field in s.split(';') {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("malformed driver spec field {field:?}"))?;
-            let parse = |v: &str| v.parse::<usize>().map_err(|e| format!("{key}: {e}"));
+        for field in fields(line) {
+            let (key, value) = field?;
             match key {
                 "addr" => spec.addr = value.to_owned(),
-                "conns" => spec.conns = parse(value)?,
-                "pipeline" => spec.pipeline = parse(value)?,
-                "per_conn" => spec.per_conn = parse(value)?,
-                "buses" => spec.buses = parse(value)?,
-                "warm_span" => spec.warm_span = parse(value)?,
-                "nonce_base" => {
-                    spec.nonce_base = value.parse().map_err(|e| format!("nonce_base: {e}"))?;
-                }
-                "churn" => spec.churn_every = parse(value)?,
-                other => return Err(format!("unknown driver spec key {other:?}")),
+                "conns" => spec.conns = parse(key, value)?,
+                "pipeline" => spec.pipeline = parse(key, value)?,
+                "per_conn" => spec.per_conn = parse(key, value)?,
+                "buses" => spec.buses = parse(key, value)?,
+                "warm_span" => spec.warm_span = parse(key, value)?,
+                "nonce_base" => spec.nonce_base = parse(key, value)?,
+                "churn" => spec.churn_every = parse(key, value)?,
+                other => return Err(ProtocolError::UnknownKey(other.to_owned())),
             }
         }
         if spec.addr.is_empty() || spec.conns == 0 {
-            return Err("driver spec needs addr and conns".into());
+            return Err(ProtocolError::Incomplete);
         }
         Ok(spec)
     }
@@ -497,7 +186,7 @@ impl DriveSpec {
 }
 
 /// What one drive produced, aggregated order-independently.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct DriveReport {
     served: u64,
     accepted: u64,
@@ -514,9 +203,11 @@ impl DriveReport {
         self.served as f64 / self.elapsed_s.max(1e-9)
     }
 
+    /// `elapsed_s` prints in Rust's shortest round-trip form, so the
+    /// parent decodes exactly what the child measured.
     fn encode(&self) -> String {
         format!(
-            "served={} accepted={} sheds={} errors={} reconnects={} elapsed_s={:.6} \
+            "served={} accepted={} sheds={} errors={} reconnects={} elapsed_s={} \
              p50_us={} p99_us={}",
             self.served,
             self.accepted,
@@ -529,26 +220,20 @@ impl DriveReport {
         )
     }
 
-    fn decode(line: &str) -> Result<Self, String> {
+    fn decode(line: &str) -> Result<Self, ProtocolError> {
         let mut report = Self::default();
-        for field in line.split_whitespace() {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("malformed driver report field {field:?}"))?;
+        for field in fields(line) {
+            let (key, value) = field?;
             match key {
-                "served" => report.served = value.parse().map_err(|e| format!("{key}: {e}"))?,
-                "accepted" => report.accepted = value.parse().map_err(|e| format!("{key}: {e}"))?,
-                "sheds" => report.sheds = value.parse().map_err(|e| format!("{key}: {e}"))?,
-                "errors" => report.errors = value.parse().map_err(|e| format!("{key}: {e}"))?,
-                "reconnects" => {
-                    report.reconnects = value.parse().map_err(|e| format!("{key}: {e}"))?;
-                }
-                "elapsed_s" => {
-                    report.elapsed_s = value.parse().map_err(|e| format!("{key}: {e}"))?;
-                }
-                "p50_us" => report.p50_us = value.parse().map_err(|e| format!("{key}: {e}"))?,
-                "p99_us" => report.p99_us = value.parse().map_err(|e| format!("{key}: {e}"))?,
-                other => return Err(format!("unknown driver report key {other:?}")),
+                "served" => report.served = parse(key, value)?,
+                "accepted" => report.accepted = parse(key, value)?,
+                "sheds" => report.sheds = parse(key, value)?,
+                "errors" => report.errors = parse(key, value)?,
+                "reconnects" => report.reconnects = parse(key, value)?,
+                "elapsed_s" => report.elapsed_s = parse(key, value)?,
+                "p50_us" => report.p50_us = parse(key, value)?,
+                "p99_us" => report.p99_us = parse(key, value)?,
+                other => return Err(ProtocolError::UnknownKey(other.to_owned())),
             }
         }
         Ok(report)
@@ -890,7 +575,7 @@ fn run_driver(spec: &DriveSpec, in_process: bool) -> Result<DriveReport, String>
         .rev()
         .find_map(|l| l.strip_prefix("driver: "))
         .ok_or_else(|| format!("driver child printed no report: {stdout}"))?;
-    DriveReport::decode(line)
+    DriveReport::decode(line).map_err(|e| format!("driver report: {e}"))
 }
 
 /// Start the service the wire phases share — warm: every workload
@@ -900,23 +585,19 @@ fn start_wire_service(warm_span: usize) -> FleetService {
     let svc = FleetService::start(
         FleetConfig::default()
             .with_workers(2)
-            // Wide enough that neither server flavor sheds: the threaded
-            // server parks one blocking submit per connection thread, so
-            // the queue must absorb every connection at once. The wire
-            // phases measure transport, not admission control.
+            // The verdict cache must hold the whole warm span. At the
+            // default capacity, 4096 warm pairs land on 16 stripes of 256
+            // entries keyed by device, the busier stripes overflow, and
+            // each overflow evicts its stripe wholesale. The queue is as
+            // wide, so a miss that does reach it is never shed: 10k
+            // connections keep 40 000 requests in flight. The wire phases
+            // measure transport, not admission control.
             .with_queue_capacity(65_536)
             .with_verdict_cache_capacity(65_536),
         SimulatedFleet::new(FleetSimConfig::fast(WIRE_BUSES, SEED)),
     );
     let client = svc.client();
-    for i in 0..WIRE_BUSES {
-        client
-            .call(Request::Enroll {
-                device: SimulatedFleet::device_name(i),
-                nonce: 1,
-            })
-            .expect("enroll");
-    }
+    enroll_all(&client, WIRE_BUSES);
     for k in 0..warm_span {
         client
             .call(Request::Verify {
@@ -947,6 +628,142 @@ fn report_drive(report: &DriveReport, expect: usize) {
     );
 }
 
+// ---------------------------------------------------------------------
+// Worker scaling and overload
+// ---------------------------------------------------------------------
+
+/// Connections of the worker-scaling drive.
+const SCALE_CONNS: usize = 8;
+/// Pipeline depth per connection: 8 × 16 = 128 requests in flight,
+/// under the default admission queue capacity (256), so none is shed
+/// and throughput is the worker pool's.
+const SCALE_PIPELINE: usize = 16;
+/// Requests per connection.
+const SCALE_PER_CONN: usize = 64;
+/// Nonce base of the worker-scaling drive.
+const SCALE_NONCE_BASE: u64 = 10_000;
+
+/// One cold drive: a fresh `workers`-worker service in the default
+/// configuration with the wire buses enrolled and nothing primed. Every
+/// request names a distinct `(device, nonce)`, so each one misses the
+/// verdict cache and runs an acquisition.
+fn cold_drive(workers: usize) -> DriveReport {
+    let svc = FleetService::start(
+        FleetConfig::default().with_workers(workers),
+        SimulatedFleet::new(FleetSimConfig::fast(WIRE_BUSES, SEED)),
+    );
+    enroll_all(&svc.client(), WIRE_BUSES);
+    let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind reactor");
+    let spec = DriveSpec {
+        addr: server.local_addr().to_string(),
+        conns: SCALE_CONNS,
+        pipeline: SCALE_PIPELINE,
+        per_conn: SCALE_PER_CONN,
+        buses: WIRE_BUSES,
+        warm_span: SCALE_CONNS * SCALE_PER_CONN,
+        nonce_base: SCALE_NONCE_BASE,
+        churn_every: 0,
+    };
+    drive_wire(&spec).expect("scaling drive")
+}
+
+/// The worker-scaling claims: cold throughput at 8 workers over 1,
+/// asserted only where there are cores to scale onto (the ≥4× target
+/// needs ≥8, the no-inversion floor ≥2).
+fn scaling_phase(cli: &BenchCli, cores: usize) -> Vec<(String, f64)> {
+    banner(&format!(
+        "worker scaling (cold verifies over the wire, 1 vs 8 workers, best of {REPEATS})"
+    ));
+    print_metric("cores", cores);
+    if cli.args.serial {
+        print_metric("scaling_comparison", "SKIPPED (--serial)");
+        return Vec::new();
+    }
+    let expect = (SCALE_CONNS * SCALE_PER_CONN) as u64;
+    let mut rps = [0.0f64; 2];
+    let mut all_served = true;
+    // Passes alternate worker counts, so drift on a shared host reaches
+    // both counts alike.
+    for _ in 0..REPEATS {
+        for (slot, workers) in [1, 8].into_iter().enumerate() {
+            let report = cold_drive(workers);
+            all_served &= report.served == expect && report.accepted == expect;
+            rps[slot] = rps[slot].max(report.rps());
+        }
+    }
+    let speedup = rps[1] / rps[0];
+    print_metric("conns", SCALE_CONNS);
+    print_metric("pipeline", SCALE_PIPELINE);
+    print_metric("requests_per_drive", expect);
+    print_metric("cold_rps_workers_1", format!("{:.0}", rps[0]));
+    print_metric("cold_rps_workers_8", format!("{:.0}", rps[1]));
+    print_metric("speedup_8_over_1", format!("{speedup:.2}"));
+    print_claim("scaling_all_served_accepted", all_served);
+    if cores >= 8 {
+        print_claim("speedup_at_least_4x", speedup >= 4.0);
+    } else {
+        print_metric(
+            "speedup_at_least_4x",
+            format!("SKIPPED (needs >=8 cores, have {cores})"),
+        );
+    }
+    if cores >= 2 {
+        print_claim("speedup_not_inverted", speedup >= 1.0);
+    } else {
+        print_metric(
+            "speedup_not_inverted",
+            format!("SKIPPED (needs >=2 cores, have {cores})"),
+        );
+    }
+    vec![
+        ("fleet/scaling/cold_rps_workers_1".into(), rps[0]),
+        ("fleet/scaling/cold_rps_workers_8".into(), rps[1]),
+        ("fleet/speedup_8_over_1".into(), speedup),
+    ]
+}
+
+/// A 48-request burst into a 1-worker, capacity-4 queue. Trial-mode
+/// acquisition keeps each verify expensive enough that a burst of *new*
+/// requests genuinely overruns one worker — the shed path under test is
+/// admission control, not the verdict cache.
+fn overload_phase() -> Vec<(String, f64)> {
+    banner("overload (1 worker, queue capacity 4, 48-request burst)");
+    let svc = FleetService::start(
+        FleetConfig::default().with_workers(1).with_queue_capacity(4),
+        SimulatedFleet::new(FleetSimConfig::fast(2, SEED).with_acq_mode(AcqMode::Trial)),
+    );
+    let client = svc.client();
+    enroll_all(&client, 1);
+    let sheds = AtomicUsize::new(0);
+    let served = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for k in 0..48u64 {
+            let (sheds, served, client) = (&sheds, &served, client.clone());
+            scope.spawn(move || match client.call(Request::Verify {
+                device: SimulatedFleet::device_name(0),
+                nonce: 70_000 + k,
+            }) {
+                Ok(Response::Verdict { .. }) => {
+                    served.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(FleetError::Overloaded { .. }) => {
+                    sheds.fetch_add(1, Ordering::Relaxed);
+                }
+                other => panic!("unexpected {other:?}"),
+            });
+        }
+    });
+    let (sheds, served) = (sheds.into_inner(), served.into_inner());
+    print_metric("burst_served", served);
+    print_metric("burst_sheds", sheds);
+    print_claim("overload_sheds_typed", sheds > 0 && served > 0);
+    vec![("fleet/overload_shed_rate".into(), sheds as f64 / 48.0)]
+}
+
+// ---------------------------------------------------------------------
+// Connection scaling and fairness over the reactor
+// ---------------------------------------------------------------------
+
 /// The connection-scaling phases: the reactor at 1024 connections, the
 /// 10k-connection phase (child process), and churn. Returns the metrics
 /// to merge into the JSON document.
@@ -972,18 +789,21 @@ fn wire_scaling_phases() -> Vec<(String, f64)> {
 
     // 1024 connections, pipeline 32 — the regime the reactor exists
     // for: deep pipelining amortizes the per-wakeup poll cost across
-    // many frames. Best of two passes: a single short pass on a shared
-    // box measures scheduler luck as much as the server.
+    // many frames. Best of `REPEATS` passes: a single short pass on a
+    // shared box measures scheduler luck as much as the server.
     const VS_CONNS: usize = 1024;
     const VS_PIPELINE: usize = 32;
     const VS_PER_CONN: usize = 64;
-    banner("wire: reactor (1024 conns, pipeline 32, best of 2)");
+    banner(&format!(
+        "wire: reactor (1024 conns, pipeline 32, best of {REPEATS})"
+    ));
     let reactor_rps = {
         let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind reactor");
         let s = spec(server.local_addr().to_string(), VS_CONNS, VS_PIPELINE, VS_PER_CONN, 0);
-        let warm = run_driver(&s, true).expect("reactor drive");
-        let best = run_driver(&s, true).expect("reactor drive");
-        let report = if best.rps() >= warm.rps() { best } else { warm };
+        let report = (0..REPEATS)
+            .map(|_| run_driver(&s, true).expect("reactor drive"))
+            .max_by(|a, b| a.rps().total_cmp(&b.rps()))
+            .expect("at least one pass");
         report_drive(&report, VS_CONNS * VS_PER_CONN);
         report.rps()
     };
@@ -999,20 +819,13 @@ fn wire_scaling_phases() -> Vec<(String, f64)> {
         let report = run_driver(&s, false).expect("10k drive");
         report_drive(&report, s.conns * s.per_conn);
         print_claim("ten_k_connections_served", report.served == (s.conns * s.per_conn) as u64);
-        print_claim(
-            "ten_k_p99_under_2s",
-            report.p99_us < 2_000_000,
-        );
-        metrics.push(("fleet/wire/reactor_conns".into(), s.conns as f64));
-        metrics.push(("fleet/wire/reactor_rps_10k".into(), report.rps()));
-        metrics.push((
-            "fleet/wire/p50_ms_10k".into(),
-            report.p50_us as f64 / 1e3,
-        ));
-        metrics.push((
-            "fleet/wire/p99_ms_10k".into(),
-            report.p99_us as f64 / 1e3,
-        ));
+        print_claim("ten_k_p99_under_2s", report.p99_us < 2_000_000);
+        metrics.extend([
+            ("fleet/wire/reactor_conns".into(), s.conns as f64),
+            ("fleet/wire/reactor_rps_10k".into(), report.rps()),
+            ("fleet/wire/p50_ms_10k".into(), report.p50_us as f64 / 1e3),
+            ("fleet/wire/p99_ms_10k".into(), report.p99_us as f64 / 1e3),
+        ]);
     }
 
     banner("wire: churn (512 conns reconnecting every ~8 requests)");
@@ -1030,16 +843,12 @@ fn wire_scaling_phases() -> Vec<(String, f64)> {
             report.reconnects >= 2 * 512,
         );
         print_claim("churn_p99_under_2s", report.p99_us < 2_000_000);
-        metrics.push(("fleet/wire/churn_conns".into(), s.conns as f64));
-        metrics.push((
-            "fleet/wire/churn_reconnects".into(),
-            report.reconnects as f64,
-        ));
-        metrics.push((
-            "fleet/wire/churn_p99_ms".into(),
-            report.p99_us as f64 / 1e3,
-        ));
-        metrics.push(("fleet/wire/churn_rps".into(), report.rps()));
+        metrics.extend([
+            ("fleet/wire/churn_conns".into(), s.conns as f64),
+            ("fleet/wire/churn_reconnects".into(), report.reconnects as f64),
+            ("fleet/wire/churn_p99_ms".into(), report.p99_us as f64 / 1e3),
+            ("fleet/wire/churn_rps".into(), report.rps()),
+        ]);
     }
     drop(svc);
     metrics
@@ -1061,14 +870,7 @@ fn wire_fairness_phase() -> Vec<(String, f64)> {
         SimulatedFleet::new(FleetSimConfig::fast(FAIR_BUSES, SEED).with_acq_mode(AcqMode::Trial)),
     );
     let client = svc.client();
-    for i in 0..FAIR_BUSES {
-        client
-            .call(Request::Enroll {
-                device: SimulatedFleet::device_name(i),
-                nonce: 1,
-            })
-            .expect("enroll");
-    }
+    enroll_all(&client, FAIR_BUSES);
     // Size the greedy backlog off the measured per-request cost so the
     // phase saturates for several patience windows on any host.
     let t0 = Instant::now();
@@ -1197,10 +999,7 @@ fn wire_fairness_phase() -> Vec<(String, f64)> {
     drop(svc);
     vec![
         ("fleet/wire/fairness_modest_served".into(), 28.0),
-        (
-            "fleet/wire/fairness_greedy_sheds_fair".into(),
-            greedy_fair as f64,
-        ),
+        ("fleet/wire/fairness_greedy_sheds_fair".into(), greedy_fair as f64),
     ]
 }
 
@@ -1237,174 +1036,48 @@ fn quick_wire_smoke() {
     let verifies = stats
         .histogram("fleet.request.latency.verify")
         .map_or(0, |(count, ..)| count);
+    let accepts = stats.counter("fleet.verify.accepts").unwrap_or(0);
     print_metric("stats_queue_capacity", stats.queue_capacity);
     print_metric("stats_verify_count", verifies);
-    print_metric(
-        "stats_verify_accepts",
-        stats.counter("fleet.verify.accepts").unwrap_or(0),
-    );
+    print_metric("stats_verify_accepts", accepts);
     print_claim(
         "wire_stats_sees_verifies",
-        stats.queue_capacity > 0
-            && verifies > 0
-            && stats.counter("fleet.verify.accepts").unwrap_or(0) > 0,
+        stats.queue_capacity > 0 && verifies > 0 && accepts > 0,
     );
 }
 
-// ---------------------------------------------------------------------
-// Observability: tracing overhead and identity
-// ---------------------------------------------------------------------
-
-/// Measure the tracing tax on the warm verify path: one service run
-/// with no tracer in the process, one identically-seeded run after
-/// installing the process tracer at 1-in-16 sampling. Claims: verdict
-/// bits identical, warm p50 within 5%.
-///
-/// Installing a tracer is one-way, so the off-pass MUST come first; if
-/// `--trace` already installed one (or this phase ran twice), the
-/// comparison is impossible and the claims are reported SKIPPED.
-fn trace_overhead_phase(buses: usize, clients: usize, requests: usize) -> Vec<(String, f64)> {
-    banner("trace overhead (warm verify p50, 1-in-16 sampling)");
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-    if divot_telemetry::tracer().is_some() {
-        print_metric(
-            "trace_overhead",
-            "SKIPPED (a tracer is already installed; the tracing-off baseline cannot run)",
-        );
-        return metrics;
-    }
-
-    // Min-of-three warm p50 per configuration: the estimator a few
-    // hundred microseconds of scheduler noise cannot flip.
-    let best = |label: &str| {
-        let mut best: Option<Run> = None;
-        for _ in 0..3 {
-            let run = run_workers(2, buses, clients, requests);
-            let keep = match &best {
-                Some(b) => {
-                    quantile(&run.warm.samples, 0.5) < quantile(&b.warm.samples, 0.5)
-                }
-                None => true,
-            };
-            if keep {
-                best = Some(run);
-            }
-        }
-        let run = best.expect("three passes ran");
-        print_metric(
-            &format!("warm_p50_ms_{label}"),
-            ms(quantile(&run.warm.samples, 0.5)),
-        );
-        run
-    };
-
-    let off = best("tracing_off");
-    let sink_path = std::env::temp_dir().join("fleet_load_trace.jsonl");
-    let tracer = divot_telemetry::Tracer::to_file(&sink_path, 16).expect("trace sink");
-    let installed = divot_telemetry::install_tracer(tracer).is_ok();
-    assert!(installed, "no tracer existed above; install must win");
-    let on = best("tracing_on");
-
-    let spans = divot_telemetry::tracer().map_or(0, |t| t.emitted());
-    print_metric("trace_spans_emitted", spans);
-    print_metric("trace_sink", sink_path.display());
-
-    let p50_off = quantile(&off.warm.samples, 0.5);
-    let p50_on = quantile(&on.warm.samples, 0.5);
-    let overhead = p50_on.as_secs_f64() / p50_off.as_secs_f64().max(1e-12) - 1.0;
-    print_metric("trace_warm_p50_overhead_pct", format!("{:.2}", overhead * 100.0));
-    print_claim(
-        "trace_verdicts_bitwise_identical",
-        off.cold.bits() == on.cold.bits() && off.warm.bits() == on.warm.bits(),
-    );
-    print_claim("trace_spans_nonzero", spans > 0);
-    print_claim("trace_warm_p50_within_5pct", overhead <= 0.05);
-
-    metrics.push((
-        "fleet/trace/warm_p50_off_ms".into(),
-        p50_off.as_secs_f64() * 1e3,
-    ));
-    metrics.push((
-        "fleet/trace/warm_p50_on_ms".into(),
-        p50_on.as_secs_f64() * 1e3,
-    ));
-    metrics.push(("fleet/trace/overhead_pct".into(), overhead * 100.0));
-    metrics.push(("fleet/trace/spans_emitted".into(), spans as f64));
-    metrics
-}
-
-/// Render the criterion-shim-shaped JSON document.
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    buses: usize,
-    requests: usize,
-    cores: usize,
-    runs: &[Run],
-    cold_speedup: Option<f64>,
-    warm_speedup: Option<f64>,
-    shed_rate: Option<f64>,
-    wire_metrics: &[(String, f64)],
-) -> String {
-    let mut bench_rows: Vec<String> = Vec::new();
-    let mut metric_rows: Vec<String> = Vec::new();
-    for run in runs {
-        for (phase_name, phase) in [("cold", &run.cold), ("warm", &run.warm)] {
-            let workers = run.workers;
-            let mean_ns = phase
-                .samples
-                .iter()
-                .map(|s| s.latency.as_nanos() as f64)
-                .sum::<f64>()
-                / phase.samples.len().max(1) as f64;
-            bench_rows.push(format!(
-                "    \"fleet/verify/{phase_name}/workers_{workers}\": \
-                 {{\"median_ns\": {}, \"mean_ns\": {}, \"samples\": {}}}",
-                quantile(&phase.samples, 0.5).as_nanos(),
-                mean_ns,
-                phase.samples.len(),
-            ));
-            metric_rows.push(format!(
-                "    \"fleet/{phase_name}/throughput_rps/workers_{workers}\": {:.3}",
-                phase.rps()
-            ));
-            metric_rows.push(format!(
-                "    \"fleet/{phase_name}/latency_p50_ms/workers_{workers}\": {}",
-                ms(quantile(&phase.samples, 0.5))
-            ));
-            metric_rows.push(format!(
-                "    \"fleet/{phase_name}/latency_p99_ms/workers_{workers}\": {}",
-                ms(quantile(&phase.samples, 0.99))
-            ));
-        }
-    }
-    metric_rows.push(format!("    \"fleet/buses\": {buses}"));
-    metric_rows.push(format!("    \"fleet/requests\": {requests}"));
-    metric_rows.push(format!("    \"fleet/cores\": {cores}"));
-    if let Some(s) = cold_speedup {
-        metric_rows.push(format!("    \"fleet/speedup_8_over_1\": {s:.3}"));
-    }
-    if let Some(s) = warm_speedup {
-        metric_rows.push(format!("    \"fleet/warm/speedup_8_over_1\": {s:.3}"));
-    }
-    if let Some(rate) = shed_rate {
-        metric_rows.push(format!("    \"fleet/overload_shed_rate\": {rate:.3}"));
-    }
-    for (name, value) in wire_metrics {
-        metric_rows.push(format!("    \"{name}\": {value:.3}"));
-    }
+/// Render `BENCH_fleet.json`: host metadata (cores, the checkout's git
+/// revision or `null`, the repeat count), then one row per metric.
+fn render_json(cores: usize, metrics: &[(String, f64)]) -> String {
+    let git_rev = std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or("null".to_owned(), |o| {
+            format!("\"{}\"", String::from_utf8_lossy(&o.stdout).trim())
+        });
+    let rows: Vec<String> = metrics
+        .iter()
+        .map(|(name, value)| format!("    \"{name}\": {value:.3}"))
+        .collect();
     format!(
-        "{{\n  \"benchmarks\": {{\n{}\n  }},\n  \"metrics\": {{\n{}\n  }}\n}}\n",
-        bench_rows.join(",\n"),
-        metric_rows.join(",\n"),
+        "{{\n  \"host\": {{\"cores\": {cores}, \"git_rev\": {git_rev}, \"repeats\": {REPEATS}}},\n  \
+         \"metrics\": {{\n{}\n  }}\n}}\n",
+        rows.join(",\n"),
     )
 }
 
 fn main() -> std::process::ExitCode {
     // Child-driver mode: this binary re-execs itself for the
-    // connection-scaling phases so the client sockets get their own
-    // process FD budget (10k client + 10k server FDs overflow one).
+    // 10k-connection phase so the client sockets get their own process
+    // FD budget (10k client + 10k server FDs overflow one).
     if let Ok(spec) = std::env::var("DIVOT_FLEET_DRIVER") {
-        return match DriveSpec::decode(&spec).and_then(|s| drive_wire(&s)) {
+        return match DriveSpec::decode(&spec)
+            .map_err(|e| format!("driver spec: {e}"))
+            .and_then(|s| drive_wire(&s))
+        {
             Ok(report) => {
                 println!("driver: {}", report.encode());
                 std::process::ExitCode::SUCCESS
@@ -1416,207 +1089,97 @@ fn main() -> std::process::ExitCode {
         };
     }
     let cli = BenchCli::parse();
+    let cores = divot_dsp::par::max_threads();
+    let mut metrics = scaling_phase(&cli, cores);
     if cli.quick() {
-        quick_smoke();
-        quick_cohort_smoke();
         quick_wire_smoke();
         return cli.finish();
     }
-
-    // `DIVOT_FLEET_PHASES`: `all` (default), `classic` (worker-scaling
-    // and overload only), `cohort` (the 1000-board enrollment cold path
-    // — what `just bench-cohort` runs), `wire` (the event-driven wire
-    // layer only — what `just bench-wire` runs), or `trace` (the
-    // tracing-overhead comparison only).
-    let phases = std::env::var("DIVOT_FLEET_PHASES").unwrap_or_else(|_| "all".to_owned());
-    let run_classic = matches!(phases.as_str(), "all" | "classic");
-    let run_cohort = matches!(phases.as_str(), "all" | "cohort");
-    let run_wire = matches!(phases.as_str(), "all" | "wire");
-    let run_trace = matches!(phases.as_str(), "all" | "trace");
-
-    const BUSES: usize = 64;
-    const REQUESTS: usize = 256;
-    const CLIENTS: usize = 16;
-    let cores = divot_dsp::par::max_threads();
-
-    banner("fleet load setup");
-    print_metric("buses", BUSES);
-    print_metric("requests", REQUESTS);
-    print_metric("client_threads", CLIENTS);
-    print_metric("cores", cores);
-    print_metric("phases", &phases);
-
-    let mut runs: Vec<Run> = Vec::new();
-    let mut cold_speedup = None;
-    let mut warm_speedup = None;
-    let mut shed_rate = None;
-    if run_classic {
-        classic_phases(
-            &cli,
-            cores,
-            BUSES,
-            REQUESTS,
-            CLIENTS,
-            &mut runs,
-            &mut cold_speedup,
-            &mut warm_speedup,
-            &mut shed_rate,
-        );
-    }
-
-    let mut wire_metrics: Vec<(String, f64)> = Vec::new();
-    // Tracing-off baseline first: installing the process tracer is
-    // one-way, so this phase must precede nothing that traces — and
-    // everything above ran without one.
-    if run_trace {
-        wire_metrics.extend(trace_overhead_phase(BUSES, CLIENTS, REQUESTS));
-    }
-    if run_cohort {
-        wire_metrics.extend(cohort_phase(1000, 64));
-    }
-    if run_wire {
-        wire_metrics.extend(wire_scaling_phases());
-        wire_metrics.extend(wire_fairness_phase());
-    }
+    metrics.extend(overload_phase());
+    metrics.extend(wire_scaling_phases());
+    metrics.extend(wire_fairness_phase());
 
     banner("results file");
-    let json = render_json(
-        BUSES,
-        REQUESTS,
-        cores,
-        &runs,
-        cold_speedup,
-        warm_speedup,
-        shed_rate,
-        &wire_metrics,
-    );
     let path =
         std::env::var("DIVOT_FLEET_JSON").unwrap_or_else(|_| "BENCH_fleet.json".to_owned());
-    match std::fs::write(&path, &json) {
+    match std::fs::write(&path, render_json(cores, &metrics)) {
         Ok(()) => print_metric("json_written", &path),
         Err(e) => {
             eprintln!("error: writing {path}: {e}");
             return std::process::ExitCode::FAILURE;
         }
     }
-
     cli.finish()
 }
 
-/// The pre-reactor phases: worker scaling (cold/warm, 1 vs 8 workers)
-/// and the in-process overload burst.
-#[allow(clippy::too_many_arguments)]
-fn classic_phases(
-    cli: &BenchCli,
-    cores: usize,
-    buses: usize,
-    requests: usize,
-    clients: usize,
-    runs: &mut Vec<Run>,
-    cold_speedup: &mut Option<f64>,
-    warm_speedup: &mut Option<f64>,
-    shed_rate: &mut Option<f64>,
-) {
-    banner("single worker, cold phase (every request new)");
-    let base = run_workers(1, buses, clients, requests);
-    base.cold.report(requests);
-    banner("single worker, warm phase (identical requests replayed)");
-    base.warm.report(requests);
-    print_claim(
-        "verdicts_bitwise_identical_cold_vs_warm",
-        base.cold.bits() == base.warm.bits(),
-    );
-    print_claim(
-        "warm_p50_under_2ms",
-        quantile(&base.warm.samples, 0.5) < Duration::from_millis(2),
-    );
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    runs.push(base);
-    if cli.args.serial {
-        print_metric("scaling_comparison", "skipped (--serial)");
-    } else {
-        banner("8 workers, cold phase");
-        let par = run_workers(8, buses, clients, requests);
-        par.cold.report(requests);
-        banner("8 workers, warm phase");
-        par.warm.report(requests);
-        let sc = par.cold.rps() / runs[0].cold.rps();
-        let sw = par.warm.rps() / runs[0].warm.rps();
-        print_metric("cold_speedup_8_over_1", format!("{sc:.2}"));
-        print_metric("warm_speedup_8_over_1", format!("{sw:.2}"));
-        *cold_speedup = Some(sc);
-        *warm_speedup = Some(sw);
-        print_claim(
-            "verdicts_bitwise_identical_1_vs_8",
-            runs[0].cold.bits() == par.cold.bits() && runs[0].warm.bits() == par.warm.bits(),
-        );
-        print_claim(
-            "verdicts_bitwise_identical_cold_vs_warm_8",
-            par.cold.bits() == par.warm.bits(),
-        );
-        // 8 workers can only beat 1 worker where there are cores to run
-        // them; the paper-style ≥4× target needs ≥8, the no-inversion
-        // floor needs ≥2.
-        if cores >= 8 {
-            print_claim("speedup_at_least_4x", sc >= 4.0);
-        } else {
-            print_metric(
-                "speedup_at_least_4x",
-                format!("SKIPPED (needs >=8 cores, have {cores})"),
-            );
+    fn spec() -> DriveSpec {
+        DriveSpec {
+            addr: "127.0.0.1:40123".into(),
+            conns: 10_000,
+            pipeline: 4,
+            per_conn: 20,
+            buses: 64,
+            warm_span: 4096,
+            nonce_base: u64::MAX - 7,
+            churn_every: 8,
         }
-        if cores >= 2 {
-            print_claim("speedup_not_inverted", sc >= 1.0);
-        } else {
-            print_metric(
-                "speedup_not_inverted",
-                format!("SKIPPED (needs >=2 cores, have {cores})"),
-            );
-        }
-        runs.push(par);
     }
 
-    banner("overload (1 worker, queue capacity 4, 48-request burst)");
-    // Trial-mode acquisition keeps each verify expensive enough that a
-    // burst of *new* requests genuinely overruns one worker — the shed
-    // path under test is admission control, not the verdict cache.
-    *shed_rate = Some({
-        let svc = FleetService::start(
-            FleetConfig::default().with_workers(1).with_queue_capacity(4),
-            SimulatedFleet::new(
-                FleetSimConfig::fast(2, SEED).with_acq_mode(AcqMode::Trial),
-            ),
+    #[test]
+    fn driver_protocol_round_trips_exactly() {
+        let s = spec();
+        assert_eq!(DriveSpec::decode(&s.encode()), Ok(s));
+        let report = DriveReport {
+            served: 199_998,
+            accepted: 199_997,
+            sheds: 1,
+            errors: 1,
+            reconnects: 1280,
+            // Not representable in a fixed number of decimals.
+            elapsed_s: 0.1 + 0.2,
+            p50_us: 166_800,
+            p99_us: u64::MAX,
+        };
+        assert_eq!(DriveReport::decode(&report.encode()), Ok(report));
+        assert_eq!(
+            DriveReport::decode(&DriveReport::default().encode()),
+            Ok(DriveReport::default())
         );
-        let client = svc.client();
-        client
-            .call(Request::Enroll {
-                device: "bus-000".into(),
-                nonce: 1,
-            })
-            .expect("enroll");
-        let sheds = AtomicUsize::new(0);
-        let served = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for k in 0..48u64 {
-                let (sheds, served, client) = (&sheds, &served, client.clone());
-                scope.spawn(move || match client.call(Request::Verify {
-                    device: "bus-000".into(),
-                    nonce: 70_000 + k,
-                }) {
-                    Ok(Response::Verdict { .. }) => {
-                        served.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(FleetError::Overloaded { .. }) => {
-                        sheds.fetch_add(1, Ordering::Relaxed);
-                    }
-                    other => panic!("unexpected {other:?}"),
-                });
-            }
-        });
-        let (sheds, served) = (sheds.into_inner(), served.into_inner());
-        print_metric("burst_served", served);
-        print_metric("burst_sheds", sheds);
-        print_claim("overload_sheds_typed", sheds > 0 && served > 0);
-        sheds as f64 / 48.0
-    });
+    }
+
+    #[test]
+    fn malformed_or_unknown_driver_fields_are_typed_errors() {
+        let good = spec().encode();
+        let cases = [
+            (format!("{good} churn"), ProtocolError::Malformed("churn".into())),
+            (format!("{good} threads=2"), ProtocolError::UnknownKey("threads".into())),
+            (
+                good.replace("conns=10000", "conns=-1"),
+                ProtocolError::BadValue("conns=-1".into()),
+            ),
+            (
+                good.replace("nonce_base=18446744073709551608", "nonce_base=18446744073709551616"),
+                ProtocolError::BadValue("nonce_base=18446744073709551616".into()),
+            ),
+            ("conns=4".to_owned(), ProtocolError::Incomplete),
+            (String::new(), ProtocolError::Incomplete),
+        ];
+        for (line, want) in cases {
+            assert_eq!(DriveSpec::decode(&line), Err(want), "spec {line:?}");
+        }
+        let report = [
+            ("served=1 accepted", ProtocolError::Malformed("accepted".into())),
+            ("served=1 latency=3", ProtocolError::UnknownKey("latency".into())),
+            ("elapsed_s=fast", ProtocolError::BadValue("elapsed_s=fast".into())),
+            ("p99_us=1.5", ProtocolError::BadValue("p99_us=1.5".into())),
+            ("=", ProtocolError::UnknownKey(String::new())),
+        ];
+        for (line, want) in report {
+            assert_eq!(DriveReport::decode(line), Err(want), "report {line:?}");
+        }
+    }
 }
