@@ -639,7 +639,7 @@ const SCALE_CONNS: usize = 8;
 /// and throughput is the worker pool's.
 const SCALE_PIPELINE: usize = 16;
 /// Requests per connection.
-const SCALE_PER_CONN: usize = 64;
+const SCALE_PER_CONN: usize = 256;
 /// Nonce base of the worker-scaling drive.
 const SCALE_NONCE_BASE: u64 = 10_000;
 
