@@ -548,14 +548,10 @@ fn drive_wire(spec: &DriveSpec) -> Result<DriveReport, String> {
     Ok(report)
 }
 
-/// Run a drive in-process (modest connection counts) or re-exec this
-/// binary as a child driver (`in_process = false`) so the client FDs
-/// live in their own process — 10k client sockets plus 10k server
-/// sockets do not fit one default FD budget.
-fn run_driver(spec: &DriveSpec, in_process: bool) -> Result<DriveReport, String> {
-    if in_process {
-        return drive_wire(spec);
-    }
+/// Run a drive in a re-exec of this binary so the client FDs live in
+/// their own process — 10k client sockets plus 10k server sockets do
+/// not fit one default FD budget.
+fn run_child_driver(spec: &DriveSpec) -> Result<DriveReport, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let out = std::process::Command::new(exe)
         .env("DIVOT_FLEET_DRIVER", spec.encode())
@@ -801,7 +797,7 @@ fn wire_scaling_phases() -> Vec<(String, f64)> {
         let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind reactor");
         let s = spec(server.local_addr().to_string(), VS_CONNS, VS_PIPELINE, VS_PER_CONN, 0);
         let report = (0..REPEATS)
-            .map(|_| run_driver(&s, true).expect("reactor drive"))
+            .map(|_| drive_wire(&s).expect("reactor drive"))
             .max_by(|a, b| a.rps().total_cmp(&b.rps()))
             .expect("at least one pass");
         report_drive(&report, VS_CONNS * VS_PER_CONN);
@@ -816,7 +812,7 @@ fn wire_scaling_phases() -> Vec<(String, f64)> {
         print_metric("conns", s.conns);
         print_metric("pipeline", s.pipeline);
         print_metric("requests", s.conns * s.per_conn);
-        let report = run_driver(&s, false).expect("10k drive");
+        let report = run_child_driver(&s).expect("10k drive");
         report_drive(&report, s.conns * s.per_conn);
         print_claim("ten_k_connections_served", report.served == (s.conns * s.per_conn) as u64);
         print_claim("ten_k_p99_under_2s", report.p99_us < 2_000_000);
@@ -836,7 +832,7 @@ fn wire_scaling_phases() -> Vec<(String, f64)> {
         // reactor.
         let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind reactor");
         let s = spec(server.local_addr().to_string(), 512, 4, 24, 8);
-        let report = run_driver(&s, true).expect("churn drive");
+        let report = drive_wire(&s).expect("churn drive");
         report_drive(&report, s.conns * s.per_conn);
         print_claim(
             "churn_reconnects_at_least_twice_per_conn",
@@ -1024,7 +1020,7 @@ fn quick_wire_smoke() {
         nonce_base: WIRE_NONCE_BASE,
         churn_every: 0,
     };
-    let report = run_driver(&s, true).expect("wire smoke drive");
+    let report = drive_wire(&s).expect("wire smoke drive");
     report_drive(&report, s.conns * s.per_conn);
     print_claim("wire_smoke_zero_errors", report.errors == 0 && report.sheds == 0);
     print_claim("wire_smoke_p99_under_500ms", report.p99_us < 500_000);
