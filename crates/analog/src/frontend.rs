@@ -167,6 +167,18 @@ impl TripModel {
             0.0
         }
     }
+
+    /// The argument at which [`probability`](Self::probability) evaluates
+    /// `erfc` for `σ_eff > 0`: `probability(d, l)` is bitwise
+    /// `0.5 * erfc(erfc_argument(d, l))`, so a caller can evaluate many
+    /// `(detector, level)` pairs with one
+    /// [`erfc_batch`](divot_dsp::erf::erfc_batch).
+    #[inline]
+    pub fn erfc_argument(&self, detector: f64, level: f64) -> f64 {
+        debug_assert!(self.sigma > 0.0, "a step law has no erfc argument");
+        let margin = detector + self.offset - level;
+        -(margin / self.sigma) / std::f64::consts::SQRT_2
+    }
 }
 
 /// A live front-end instance bound to one bus channel.
@@ -292,6 +304,24 @@ impl FrontEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn erfc_argument_is_the_one_probability_evaluates() {
+        for (offset, sigma) in [(0.0, 1e-3), (2.5e-3, 4.2e-3), (-1e-2, 0.37)] {
+            let model = TripModel { offset, sigma };
+            for i in -200..=200 {
+                let detector = f64::from(i) * 3.1e-4;
+                for level in [-0.05, -1e-3, 0.0, 7e-4, 0.031] {
+                    let e = divot_dsp::erf::erfc(model.erfc_argument(detector, level));
+                    assert_eq!(
+                        (0.5 * e).to_bits(),
+                        model.probability(detector, level).to_bits(),
+                        "offset={offset} sigma={sigma} d={detector} level={level}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn reference_levels_cycle_with_vernier_period() {

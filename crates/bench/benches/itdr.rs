@@ -7,12 +7,16 @@
 //! configuration, under both execution policies. The Analytic/Trial ratio
 //! is published as `metric:` lines and, when `CRITERION_JSON` is set (see
 //! `just bench-itdr`), into the `metrics` section of `BENCH_itdr.json`.
+//!
+//! The `itdr/fleet_acquire` group times the fleet's warm acquisition,
+//! the per-verify cost of the service.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use divot_analog::frontend::FrontEndConfig;
 use divot_core::channel::BusChannel;
 use divot_core::exec::ExecPolicy;
 use divot_core::itdr::{AcqMode, Itdr, ItdrConfig};
+use divot_fleet::sim::{FleetSimConfig, SimulatedFleet};
 use divot_txline::board::{Board, BoardConfig};
 use std::hint::black_box;
 
@@ -101,6 +105,44 @@ fn bench_acq_paper_full(c: &mut Criterion) {
     group.finish();
 }
 
+/// Warm fleet acquisition, the sweep every fresh verify, scan and
+/// intake board pays: `solo` is one `SimulatedFleet::acquire` on
+/// `FleetSimConfig::fast` (cycling 16 warm devices with fresh nonces),
+/// `batch16` one `acquire_batch` of all 16 under the service's
+/// `ExecPolicy::auto()`, also published per board as the
+/// `fleet_acquire_batch16_us_per_board` metric.
+fn bench_fleet_acquire(c: &mut Criterion) {
+    const BOARDS: usize = 16;
+    let fleet = SimulatedFleet::new(FleetSimConfig::fast(BOARDS, 2020));
+    let names: Vec<String> = (0..BOARDS).map(SimulatedFleet::device_name).collect();
+    for name in &names {
+        black_box(fleet.acquire(name, 0));
+    }
+    let mut group = c.benchmark_group("itdr/fleet_acquire");
+    group.sample_size(20);
+    let mut nonce = 0u64;
+    group.bench_function("solo", |b| {
+        b.iter(|| {
+            nonce += 1;
+            black_box(fleet.acquire(&names[nonce as usize % BOARDS], nonce))
+        })
+    });
+    group.bench_function("batch16", |b| {
+        b.iter(|| {
+            nonce += 1;
+            let items: Vec<(String, u64)> = names.iter().map(|n| (n.clone(), nonce)).collect();
+            black_box(fleet.acquire_batch(&items, ExecPolicy::auto()))
+        })
+    });
+    group.finish();
+    if let Some(batch) = c.median_ns("itdr/fleet_acquire/batch16") {
+        c.record_metric(
+            "fleet_acquire_batch16_us_per_board",
+            batch / BOARDS as f64 / 1e3,
+        );
+    }
+}
+
 /// Publish the Analytic-over-Trial speedup ratios (the acceptance numbers
 /// in `EXPERIMENTS.md`), computed from the medians of the benches above.
 fn record_speedups(c: &mut Criterion) {
@@ -128,6 +170,7 @@ criterion_group!(
     bench_enroll,
     bench_enroll_paper,
     bench_acq_paper_full,
+    bench_fleet_acquire,
     record_speedups
 );
 criterion_main!(benches);

@@ -23,13 +23,14 @@ use crate::ets::EtsSchedule;
 use crate::exec::ExecPolicy;
 use crate::fingerprint::Fingerprint;
 use divot_analog::frontend::TripModel;
+use divot_dsp::erf::erfc_batch;
 use divot_dsp::filter::moving_average;
 use divot_dsp::quadrature::GaussHermite;
 use divot_dsp::rng::{mix_seed, DivotRng, PreparedBinomial};
 use divot_dsp::waveform::Waveform;
 use divot_telemetry::{Counter, Value};
 use divot_txline::units::Seconds;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Domain tag for the per-point jitter RNG streams.
 const JITTER_DOMAIN: u64 = 0x4A17_0000;
@@ -44,6 +45,16 @@ const ANALYTIC_DOMAIN: u64 = 0xA7A1_0000;
 /// jitter scale needs — while keeping the per-level cost at nine CDF
 /// evaluations.
 const JITTER_QUAD_ORDER: usize = 9;
+
+/// The jitter quadrature rule: a pure function of [`JITTER_QUAD_ORDER`],
+/// so it is built (by Newton iteration) once per process, not once per
+/// [`Itdr::measure_many`] call.
+static JITTER_QUAD: LazyLock<GaussHermite> = LazyLock::new(|| GaussHermite::new(JITTER_QUAD_ORDER));
+
+/// Window levels per batched law pass in [`PointNodes::prepare_window`]:
+/// its stack buffer holds this many levels' `erfc` arguments, one per
+/// quadrature node.
+const LAW_LEVELS: usize = 16;
 
 /// Saturation guard in units of the effective sigma: reference levels
 /// farther than this from every jittered detector value get probability
@@ -225,7 +236,6 @@ impl AcqTelemetry {
 /// the full linear sweep evaluates.
 struct AnalyticPlan {
     schedule: Arc<Vec<(f64, u32)>>,
-    quad: GaussHermite,
     rank: Vec<u32>,
     levels_asc: Vec<f64>,
     prefix: Vec<u32>,
@@ -252,7 +262,6 @@ impl AnalyticPlan {
         }
         Self {
             schedule,
-            quad: GaussHermite::new(JITTER_QUAD_ORDER),
             rank,
             levels_asc,
             prefix,
@@ -295,13 +304,12 @@ struct PointNodes {
 }
 
 impl PointNodes {
-    fn new(ctx: &MeasurementContext, quad: &GaussHermite, t_nominal: f64) -> Self {
-        debug_assert_eq!(quad.order(), JITTER_QUAD_ORDER);
+    fn new(ctx: &MeasurementContext, t_nominal: f64) -> Self {
         let coupler = ctx.frontend.config().coupler;
         let mut detectors = [0.0f64; JITTER_QUAD_ORDER];
         for (d, t) in detectors
             .iter_mut()
-            .zip(quad.abscissas(t_nominal, ctx.jitter_rms))
+            .zip(JITTER_QUAD.abscissas(t_nominal, ctx.jitter_rms))
         {
             *d = coupler.detect(ctx.response.sample_at(t), ctx.forward.at(t));
         }
@@ -332,16 +340,76 @@ impl PointNodes {
         sigma > 0.0 && level - (self.hi + self.trip.offset()) >= SATURATION_SIGMAS * sigma
     }
 
-    /// The jitter-averaged trip probability of one trigger at `level`.
-    fn trip_probability(&self, quad: &GaussHermite, level: f64) -> f64 {
+    /// The jitter-averaged trip probability of one trigger at `level`:
+    /// the scalar reference the full sweep and the `σ = 0` law run.
+    fn trip_probability(&self, level: f64) -> f64 {
         // Weighted quadrature sum; clamp the last few ULPs of round-off
         // so the binomial's domain check never trips.
         self.detectors
             .iter()
-            .zip(quad.weights())
+            .zip(JITTER_QUAD.weights())
             .map(|(&d, &w)| w * self.trip.probability(d, level))
             .sum::<f64>()
             .clamp(0.0, 1.0)
+    }
+
+    /// Append the prepared law of every `(level, count)` in `levels` to
+    /// `window`, each bitwise
+    /// `PreparedBinomial::new(count, self.trip_probability(level))`.
+    ///
+    /// The `(level, node)` pairs are independent, so up to
+    /// [`LAW_LEVELS`] levels at a time gather their `erfc` arguments into
+    /// one stack buffer, evaluate it with one
+    /// [`erfc_batch`](divot_dsp::erf::erfc_batch), form each level's
+    /// probability with the same node-order `w · (½·erfc)` sum and clamp
+    /// as [`trip_probability`](Self::trip_probability), and prepare the
+    /// levels' binomials with one
+    /// [`extend_batch`](PreparedBinomial::extend_batch). Requires
+    /// `σ_eff > 0`.
+    fn prepare_window(
+        &self,
+        mut levels: impl Iterator<Item = (f64, u32)>,
+        window: &mut Vec<PreparedBinomial>,
+    ) {
+        let weights = JITTER_QUAD.weights();
+        let mut lanes = [0.0f64; LAW_LEVELS * JITTER_QUAD_ORDER];
+        let mut counts = [0u32; LAW_LEVELS];
+        loop {
+            let mut taken = 0;
+            // Buffer slots first: a full buffer must stop the zip
+            // before it pulls (and drops) the next level.
+            for ((args, c), (level, count)) in lanes
+                .chunks_exact_mut(JITTER_QUAD_ORDER)
+                .zip(&mut counts)
+                .zip(levels.by_ref())
+            {
+                *c = count;
+                for (a, &d) in args.iter_mut().zip(&self.detectors) {
+                    *a = self.trip.erfc_argument(d, level);
+                }
+                taken += 1;
+            }
+            let lanes = &mut lanes[..taken * JITTER_QUAD_ORDER];
+            erfc_batch(lanes);
+            PreparedBinomial::extend_batch(
+                window,
+                lanes
+                    .chunks_exact(JITTER_QUAD_ORDER)
+                    .zip(&counts)
+                    .map(|(erfcs, &count)| {
+                        let p = erfcs
+                            .iter()
+                            .zip(weights)
+                            .map(|(&e, &w)| w * (0.5 * e))
+                            .sum::<f64>()
+                            .clamp(0.0, 1.0);
+                        (u64::from(count), p)
+                    }),
+            );
+            if taken < LAW_LEVELS {
+                return;
+            }
+        }
     }
 }
 
@@ -407,24 +475,24 @@ impl Itdr {
     ///
     /// Per level, the trip probability of a single trigger is the
     /// comparator CDF averaged over the PLL's sampling-instant jitter
-    /// (`schedule`/`quad` are deterministic precomputations shared by all
-    /// points); the count over the level's triggers is then exactly
-    /// `Binomial(n_level, p_level)` because trials are independent once
-    /// hysteresis is ruled out. Like [`point_voltage`](Self::point_voltage)
-    /// this is a pure function of `(ctx, n)` — the binomial stream derives
-    /// from `(ctx.seed, ANALYTIC_DOMAIN, n)` — so serial and parallel
-    /// schedules stay bitwise identical.
+    /// (`schedule` and the quadrature rule are deterministic
+    /// precomputations shared by all points); the count over the level's
+    /// triggers is then exactly `Binomial(n_level, p_level)` because
+    /// trials are independent once hysteresis is ruled out. Like
+    /// [`point_voltage`](Self::point_voltage) this is a pure function of
+    /// `(ctx, n)` — the binomial stream derives from
+    /// `(ctx.seed, ANALYTIC_DOMAIN, n)` — so serial and parallel schedules
+    /// stay bitwise identical.
     fn point_voltage_analytic(
         &self,
         ctx: &MeasurementContext,
         table: &ReconstructionTable,
         schedule: &[(f64, u32)],
-        quad: &GaussHermite,
         tel: Option<&AcqTelemetry>,
         n: usize,
     ) -> f64 {
         let mut rng = DivotRng::derive(ctx.seed, ANALYTIC_DOMAIN ^ n as u64);
-        let nodes = PointNodes::new(ctx, quad, self.config.ets.time_of(n));
+        let nodes = PointNodes::new(ctx, self.config.ets.time_of(n));
         let mut counter = TripCounter::new();
         let mut saturated = 0u64;
         for &(level, count) in schedule {
@@ -435,7 +503,7 @@ impl Itdr {
                 saturated += 1;
                 1.0
             } else {
-                nodes.trip_probability(quad, level)
+                nodes.trip_probability(level)
             };
             counter.record_many(rng.binomial(u64::from(count), p) as u32, count);
         }
@@ -466,7 +534,7 @@ impl Itdr {
     /// which is what makes it shareable across the measurements of one
     /// call.
     fn point_law(&self, ctx: &MeasurementContext, plan: &AnalyticPlan, n: usize) -> PointLaw {
-        let nodes = PointNodes::new(ctx, &plan.quad, self.config.ets.time_of(n));
+        let nodes = PointNodes::new(ctx, self.config.ets.time_of(n));
         let len = plan.levels_asc.len();
         let (k1, k0) = if nodes.trip.sigma() > 0.0 {
             (
@@ -494,13 +562,18 @@ impl Itdr {
             );
         }
         let mut window = Vec::with_capacity(k0 - k1);
-        for (i, &(level, count)) in plan.schedule.iter().enumerate() {
-            let r = plan.rank[i] as usize;
-            if r < k1 || r >= k0 {
-                continue;
-            }
-            let p = nodes.trip_probability(&plan.quad, level);
-            window.push(PreparedBinomial::new(u64::from(count), p));
+        let levels = plan
+            .schedule
+            .iter()
+            .zip(&plan.rank)
+            .filter(|&(_, &r)| (k1..k0).contains(&(r as usize)))
+            .map(|(&level, _)| level);
+        if nodes.trip.sigma() > 0.0 {
+            nodes.prepare_window(levels, &mut window);
+        } else {
+            window.extend(levels.map(|(level, count)| {
+                PreparedBinomial::new(u64::from(count), nodes.trip_probability(level))
+            }));
         }
         PointLaw {
             sat_one: plan.prefix[k1],
@@ -629,14 +702,7 @@ impl Itdr {
         let volts = match &analytic_plan {
             Some(plan) if full_sweep => policy.run_indexed(count * n_points, |idx| {
                 let (ctx, n) = (&contexts[idx / n_points], idx % n_points);
-                self.point_voltage_analytic(
-                    ctx,
-                    &table,
-                    plan.schedule.as_slice(),
-                    &plan.quad,
-                    tel.as_ref(),
-                    n,
-                )
+                self.point_voltage_analytic(ctx, &table, plan.schedule.as_slice(), tel.as_ref(), n)
             }),
             Some(plan) => {
                 // A point's law depends on the context's environment but
@@ -834,12 +900,62 @@ impl Itdr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use divot_analog::frontend::FrontEndConfig;
+    use divot_analog::frontend::{FrontEnd, FrontEndConfig};
     use divot_dsp::similarity::similarity;
     use divot_txline::board::{Board, BoardConfig};
 
     fn channel_for_line(board: &Board, i: usize, seed: u64) -> BusChannel {
         BusChannel::new(board.line(i).clone(), FrontEndConfig::default(), seed)
+    }
+
+    #[test]
+    fn batched_window_is_bitwise_the_scalar_laws() {
+        // Nine detector nodes a few σ apart and levels from 12σ below the
+        // lowest to 12σ above the highest, so the arguments cover every
+        // erfc region; windows of every length around the batch size.
+        let trip = FrontEnd::new(FrontEndConfig::default(), 9).trip_model();
+        let sigma = trip.sigma();
+        let detectors: [f64; JITTER_QUAD_ORDER] =
+            std::array::from_fn(|j| 0.1 + 1.7 * sigma * (j as f64 - 4.0));
+        let (lo, hi) = (detectors[0], detectors[JITTER_QUAD_ORDER - 1]);
+        let nodes = PointNodes {
+            detectors,
+            lo,
+            hi,
+            trip,
+        };
+        let n = 3 * LAW_LEVELS + 1;
+        let (first, last) = (
+            lo + trip.offset() - 12.0 * sigma,
+            hi + trip.offset() + 12.0 * sigma,
+        );
+        let levels: Vec<(f64, u32)> = (0..n)
+            .map(|i| {
+                let level = first + (last - first) * i as f64 / (n - 1) as f64;
+                (level, 1 + (i as u32 * 7) % 60)
+            })
+            .collect();
+        for len in [
+            0,
+            1,
+            LAW_LEVELS - 1,
+            LAW_LEVELS,
+            LAW_LEVELS + 1,
+            2 * LAW_LEVELS,
+            n,
+        ] {
+            let mut window = Vec::new();
+            nodes.prepare_window(levels[..len].iter().copied(), &mut window);
+            assert_eq!(window.len(), len);
+            for (law, &(level, count)) in window.iter().zip(&levels) {
+                let want = PreparedBinomial::new(u64::from(count), nodes.trip_probability(level));
+                assert_eq!(
+                    format!("{law:?}"),
+                    format!("{want:?}"),
+                    "len={len} level={level}"
+                );
+            }
+        }
     }
 
     #[test]

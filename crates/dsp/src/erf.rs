@@ -107,9 +107,13 @@ static COARSE_EXP: LazyLock<[f64; COARSE_STEPS]> = LazyLock::new(|| {
 /// `ax² = xsq² + del` with `xsq` truncated to sixteenths, so the large
 /// factor `exp(−xsq²)` is exact-argument (and tabulated) and only the
 /// small remainder `exp(−del)` is evaluated per call.
+///
+/// `k` is truncated by integer conversion, which for `0 < 16·ax < 428`
+/// is exactly `(16·ax).trunc()` but compiles to one instruction where
+/// baseline x86-64 (no `roundsd`) would call out to `trunc`.
 fn exp_neg_square(ax: f64) -> f64 {
-    let k = (ax * 16.0).trunc();
-    let xsq = k / 16.0;
+    let k = (ax * 16.0) as u32;
+    let xsq = f64::from(k) / 16.0;
     let del = (ax - xsq) * (ax + xsq);
     COARSE_EXP[k as usize] * (-del).exp()
 }
@@ -192,6 +196,89 @@ pub fn erfc(x: f64) -> f64 {
         2.0 - v
     } else {
         v
+    }
+}
+
+/// Lanes per pass of [`erfc_batch`]: the size of its stack buffers.
+const BATCH_LANES: usize = 64;
+
+/// [`erfc`] of every lane of `xs`, in place: each lane is bitwise
+/// `erfc` of its own value, whatever the slice length.
+///
+/// The lanes are independent, so instead of running each argument's
+/// chain to the end before the next starts, the kernel makes three
+/// passes over up to 64 lanes at a time: call-free arithmetic (the
+/// region-2 rational, the split exponential's coarse step `k` by exact
+/// integer truncation, its table factor and remainder), one loop that
+/// only calls `exp` on the remainders, and a per-lane select of the
+/// region and sign that reuses the scalar path's region-1 and region-3
+/// helpers. Every lane gets the mid-region rational and the `exp`, even
+/// where its own region ignores them, so the first two passes have no
+/// branches; each value is still formed by the same operations in the
+/// same order as [`erfc`].
+///
+/// ```
+/// let mut xs = [-1.5, 0.2, 3.0, 30.0];
+/// divot_dsp::erf::erfc_batch(&mut xs);
+/// for (e, x) in xs.iter().zip([-1.5, 0.2, 3.0, 30.0]) {
+///     assert_eq!(e.to_bits(), divot_dsp::erf::erfc(x).to_bits());
+/// }
+/// ```
+pub fn erfc_batch(xs: &mut [f64]) {
+    let table = &*COARSE_EXP;
+    // Per lane: the tabulated `exp(−(k/16)²)`, the remainder's
+    // `exp(−del)` (holding `−del` until the `exp` pass), and the
+    // region-2 ratio `erfc(ax)·exp(ax²)`.
+    let mut coarse = [0.0f64; BATCH_LANES];
+    let mut fine = [0.0f64; BATCH_LANES];
+    let mut ratio = [0.0f64; BATCH_LANES];
+    for chunk in xs.chunks_mut(BATCH_LANES) {
+        let lanes = chunk.len();
+        let (coarse, fine, ratio) = (
+            &mut coarse[..lanes],
+            &mut fine[..lanes],
+            &mut ratio[..lanes],
+        );
+        for (((&x, c), f), r) in chunk
+            .iter()
+            .zip(&mut *coarse)
+            .zip(&mut *fine)
+            .zip(&mut *ratio)
+        {
+            let ax = x.abs();
+            // Saturating conversion: NaN gives 0 and anything at or past
+            // the cutoff clamps to the last step; the select pass
+            // ignores those lanes' factors.
+            let k = ((ax * 16.0) as u32).min(COARSE_STEPS as u32 - 1);
+            let xsq = f64::from(k) / 16.0;
+            *c = table[k as usize];
+            *f = -((ax - xsq) * (ax + xsq));
+            *r = erfc_mid_ratio(ax);
+        }
+        for f in &mut *fine {
+            *f = f.exp();
+        }
+        for (((x, &c), &f), &r) in chunk.iter_mut().zip(&*coarse).zip(&*fine).zip(&*ratio) {
+            let ax = x.abs();
+            *x = if x.is_nan() {
+                f64::NAN
+            } else if ax <= 0.46875 {
+                1.0 - erf_small(*x)
+            } else {
+                let v = if ax <= 4.0 {
+                    c * f * r
+                } else if ax >= ERFC_CUTOFF {
+                    0.0
+                } else {
+                    c * f * erfc_large_ratio(ax)
+                };
+                if *x < 0.0 {
+                    2.0 - v
+                } else {
+                    v
+                }
+            };
+        }
     }
 }
 
@@ -323,6 +410,37 @@ mod tests {
         for x in xs {
             assert_eq!(erfc(x).to_bits(), erfc_two_exp(x).to_bits(), "x={x:e}");
         }
+    }
+
+    #[test]
+    fn batched_erfc_is_bitwise_scalar_erfc() {
+        // The grid above plus the IEEE specials, cut into slices of
+        // every length class: shorter than, equal to and past one pass,
+        // several passes with a remainder, and the whole grid at once.
+        let mut xs: Vec<f64> = (-270_000..=270_000).map(|i| f64::from(i) * 1e-4).collect();
+        let mut pivots: Vec<f64> = (0..=COARSE_STEPS).map(|k| k as f64 / 16.0).collect();
+        pivots.extend([0.46875, 4.0, ERFC_CUTOFF]);
+        for p in pivots {
+            for x in [p, -p] {
+                xs.extend([x.next_down(), x, x.next_up()]);
+            }
+        }
+        xs.extend([0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        let want: Vec<u64> = xs.iter().map(|&x| erfc(x).to_bits()).collect();
+        let lens = [1, 2, 3, 7, BATCH_LANES - 1, BATCH_LANES, BATCH_LANES + 1];
+        for len in lens
+            .into_iter()
+            .chain([2 * BATCH_LANES + 3, 9 * 16, xs.len()])
+        {
+            let mut got = xs.clone();
+            for chunk in got.chunks_mut(len) {
+                erfc_batch(chunk);
+            }
+            for ((x, g), w) in xs.iter().zip(&got).zip(&want) {
+                assert_eq!(g.to_bits(), *w, "len={len} x={x:e}");
+            }
+        }
+        erfc_batch(&mut []);
     }
 
     #[test]

@@ -263,12 +263,37 @@ struct Btrs {
 }
 
 impl PreparedBinomial {
-    /// Prepare `Binomial(n, p)`.
+    /// Prepare `Binomial(n, p)`: the one-law case of
+    /// [`extend_batch`](Self::extend_batch).
     ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
     pub fn new(n: u64, p: f64) -> Self {
+        let mut law = [Self::setup(n, p)];
+        Self::finish(&mut law);
+        law[0]
+    }
+
+    /// Prepare every `(n, p)` of `laws` and append them to `out` in
+    /// order, each bitwise equal to [`new(n, p)`](Self::new).
+    ///
+    /// The laws are independent, so the inverse-CDF start mass
+    /// `(1−q)^n = exp(n·ln(1−q))` is formed in one `ln` pass and one
+    /// `exp` pass over the batch instead of one chain per law.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any `p` is not in `[0, 1]`.
+    pub fn extend_batch(out: &mut Vec<Self>, laws: impl IntoIterator<Item = (u64, f64)>) {
+        let start = out.len();
+        out.extend(laws.into_iter().map(|(n, p)| Self::setup(n, p)));
+        Self::finish(&mut out[start..]);
+    }
+
+    /// Everything of `Binomial(n, p)`'s setup but the inverse sampler's
+    /// start mass: its `pmf0` slot holds `1 − q` for [`finish`](Self::finish).
+    fn setup(n: u64, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
         let fixed = |k| Self {
             n,
@@ -289,7 +314,7 @@ impl PreparedBinomial {
             // underflow floor.
             Sampler::Inverse {
                 s: q / (1.0 - q),
-                pmf0: (nf * (1.0 - q).ln()).exp(),
+                pmf0: 1.0 - q,
             }
         } else {
             let stddev = (nf * q * (1.0 - q)).sqrt();
@@ -308,6 +333,21 @@ impl PreparedBinomial {
             n,
             flipped,
             sampler,
+        }
+    }
+
+    /// Turn each [`setup`](Self::setup) law's parked `1 − q` into
+    /// `P(0) = exp(n·ln(1−q))`: a pass of `ln`, then a pass of `exp`.
+    fn finish(laws: &mut [Self]) {
+        for law in laws.iter_mut() {
+            if let Sampler::Inverse { pmf0, .. } = &mut law.sampler {
+                *pmf0 = pmf0.ln();
+            }
+        }
+        for law in laws {
+            if let Sampler::Inverse { pmf0, .. } = &mut law.sampler {
+                *pmf0 = (law.n as f64 * *pmf0).exp();
+            }
         }
     }
 

@@ -346,28 +346,7 @@ proptest! {
         case in 0usize..10,
         x in 0.0f64..1.0,
     ) {
-        // The forced cases: both degenerate ends, the mirror edge, and a
-        // mean just below and just above the inverse/rejection switch
-        // (on either side of the mirror); otherwise p is uniform.
-        let edge = |above: bool| {
-            let mut q = BINOMIAL_INV_THRESHOLD / n as f64;
-            while above && n as f64 * q < BINOMIAL_INV_THRESHOLD {
-                q = q.next_up();
-            }
-            while !above && n as f64 * q >= BINOMIAL_INV_THRESHOLD {
-                q = q.next_down();
-            }
-            q
-        };
-        let p = match case {
-            0 => 0.0,
-            1 => 1.0,
-            2 => 0.5,
-            3 => 0.5f64.next_up(),
-            4 | 5 if edge(case == 5) <= 0.5 => edge(case == 5),
-            6 | 7 if edge(case == 7) <= 0.5 => 1.0 - edge(case == 7),
-            _ => x,
-        };
+        let p = binomial_case_p(n, case, x);
         let law = PreparedBinomial::new(n, p);
         prop_assert_eq!(law.trials(), n);
         let mut a = DivotRng::seed_from_u64(seed);
@@ -377,5 +356,68 @@ proptest! {
             prop_assert_eq!(a.binomial_prepared(&law), b.binomial(n, p), "n={} p={:e}", n, p);
         }
         prop_assert_eq!(a.uniform().to_bits(), b.uniform().to_bits());
+    }
+}
+
+/// `p` for `n` trials by case: both degenerate ends, the mirror edge, a
+/// mean just below or at the inverse/rejection switch (on either side
+/// of the mirror, when `n > 0`), otherwise `x`.
+fn binomial_case_p(n: u64, case: usize, x: f64) -> f64 {
+    if n == 0 && (4..8).contains(&case) {
+        return x;
+    }
+    let edge = |above: bool| {
+        let mut q = BINOMIAL_INV_THRESHOLD / n as f64;
+        while above && n as f64 * q < BINOMIAL_INV_THRESHOLD {
+            q = q.next_up();
+        }
+        while !above && n as f64 * q >= BINOMIAL_INV_THRESHOLD {
+            q = q.next_down();
+        }
+        q
+    };
+    match case {
+        0 => 0.0,
+        1 => 1.0,
+        2 => 0.5,
+        3 => 0.5f64.next_up(),
+        4 | 5 if edge(case == 5) <= 0.5 => edge(case == 5),
+        6 | 7 if edge(case == 7) <= 0.5 => 1.0 - edge(case == 7),
+        _ => x,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn batched_binomial_setup_is_bitwise_new(
+        seed in any::<u64>(),
+        prefix in 0usize..3,
+        laws in prop::collection::vec((0u64..64, 0usize..10, 0.0f64..1.0), 0..40),
+    ) {
+        let laws: Vec<(u64, f64)> = laws
+            .into_iter()
+            .map(|(n, case, x)| (n, binomial_case_p(n, case, x)))
+            .collect();
+        // Appending keeps what `out` already holds.
+        let mut out = vec![PreparedBinomial::new(7, 0.25); prefix];
+        PreparedBinomial::extend_batch(&mut out, laws.iter().copied());
+        prop_assert_eq!(out.len(), prefix + laws.len());
+        prop_assert!(out[..prefix].iter().all(|l| *l == PreparedBinomial::new(7, 0.25)));
+        for (batched, &(n, p)) in out[prefix..].iter().zip(&laws) {
+            let solo = PreparedBinomial::new(n, p);
+            // `Debug` prints every f64 field in shortest round-trip
+            // form, so equal strings mean equal bits (and equal signs
+            // of zero, which `==` would not tell apart).
+            prop_assert_eq!(format!("{batched:?}"), format!("{solo:?}"), "n={} p={:e}", n, p);
+            prop_assert_eq!(batched, &solo);
+            let mut a = DivotRng::seed_from_u64(seed);
+            let mut b = DivotRng::seed_from_u64(seed);
+            for _ in 0..3 {
+                prop_assert_eq!(a.binomial_prepared(batched), b.binomial_prepared(&solo));
+            }
+            prop_assert_eq!(a.uniform().to_bits(), b.uniform().to_bits());
+        }
     }
 }
