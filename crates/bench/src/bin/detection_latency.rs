@@ -7,8 +7,9 @@
 //!   operation time frame".
 //!
 //! Run: `cargo run --release -p divot-bench --bin detection_latency`
-//! (pass `--serial` to disable the parallel acquisition engine in the
-//! harness-timing section — simulated results are identical either way).
+//! (set `DIVOT_THREADS=1` to run the acquisition engine on one thread in
+//! the harness-timing section — simulated results are identical either
+//! way).
 
 use divot_analog::linecode::LineCode;
 use divot_bench::{banner, BenchCli, print_claim, print_metric};

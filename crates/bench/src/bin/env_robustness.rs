@@ -11,8 +11,8 @@
 //!
 //! Run: `cargo run --release -p divot-bench --bin env_robustness`
 //! (set `DIVOT_MEASUREMENTS` to change the per-line measurement count;
-//! pass `--serial` to disable the parallel acquisition engine — results
-//! are bitwise identical either way).
+//! set `DIVOT_THREADS=1` to run the acquisition engine on one thread —
+//! results are bitwise identical either way).
 
 use divot_analog::frontend::FrontEndConfig;
 use divot_bench::{banner, Bench, BenchCli, collect_scores_sampled, print_claim, print_metric};

@@ -5,8 +5,7 @@
 //!
 //! - **worker scaling**: one cold drive over the wire against a fresh
 //!   service at 1 and at 8 workers (`speedup_not_inverted` on ≥2 cores,
-//!   `speedup_at_least_4x` on ≥8; SKIPPED on smaller hosts and under
-//!   `--serial`);
+//!   `speedup_at_least_4x` on ≥8; SKIPPED on smaller hosts);
 //! - **overload burst**: typed sheds from a 1-worker, capacity-4 queue;
 //! - **connection scaling**: the reactor at 1024 pipelined connections,
 //!   at 10 000 connections (driven from a child process), and under
@@ -583,10 +582,11 @@ fn start_wire_service(warm_span: usize) -> FleetService {
             .with_workers(2)
             // The verdict cache must hold the whole warm span. At the
             // default capacity, 4096 warm pairs land on 16 stripes of 256
-            // entries keyed by device, the busier stripes overflow, and
-            // each overflow evicts its stripe wholesale. The queue is as
-            // wide, so a miss that does reach it is never shed: 10k
-            // connections keep 40 000 requests in flight. The wire phases
+            // entries (2 per store shard, split by device parity), the
+            // busier stripes overflow, and an overflow of live verdicts
+            // clears its stripe wholesale. The queue is as wide, so a
+            // miss that does reach it is never shed: 10k connections
+            // keep 40 000 requests in flight. The wire phases
             // measure transport, not admission control.
             .with_queue_capacity(65_536)
             .with_verdict_cache_capacity(65_536),
@@ -666,15 +666,11 @@ fn cold_drive(workers: usize) -> DriveReport {
 /// The worker-scaling claims: cold throughput at 8 workers over 1,
 /// asserted only where there are cores to scale onto (the ≥4× target
 /// needs ≥8, the no-inversion floor ≥2).
-fn scaling_phase(cli: &BenchCli, cores: usize) -> Vec<(String, f64)> {
+fn scaling_phase(cores: usize) -> Vec<(String, f64)> {
     banner(&format!(
         "worker scaling (cold verifies over the wire, 1 vs 8 workers, best of {REPEATS})"
     ));
     print_metric("cores", cores);
-    if cli.args.serial {
-        print_metric("scaling_comparison", "SKIPPED (--serial)");
-        return Vec::new();
-    }
     let expect = (SCALE_CONNS * SCALE_PER_CONN) as u64;
     let mut rps = [0.0f64; 2];
     let mut all_served = true;
@@ -1086,7 +1082,7 @@ fn main() -> std::process::ExitCode {
     }
     let cli = BenchCli::parse();
     let cores = divot_dsp::par::max_threads();
-    let mut metrics = scaling_phase(&cli, cores);
+    let mut metrics = scaling_phase(cores);
     if cli.quick() {
         quick_wire_smoke();
         return cli.finish();

@@ -4,7 +4,7 @@
 //! [`PipelinedFleetClient`], registers a streaming stats subscription,
 //! and renders each pushed [`FleetStats`] snapshot as a refreshing
 //! plain-text operator dashboard: request rate, per-kind latency
-//! quantiles, cache tiers, shed reasons, queue and store-lock health.
+//! quantiles, verdict-cache hits, shed reasons, queue and store-lock health.
 //! The probe path is the reactor's inline stats serving, so the
 //! dashboard stays live even when the worker pool is saturated — the
 //! exact moment an operator needs it.
@@ -199,17 +199,16 @@ fn render(stats: &FleetStats, prev: Option<&FleetStats>, interval: Duration, cle
         ));
     }
 
-    let l1 = c("fleet.cache.l1_hits");
-    let l2 = c("fleet.cache.l2_hits");
+    let hits = c("fleet.cache.verdict_hits");
     let miss = c("fleet.cache.misses");
-    let lookups = l1 + l2 + miss;
+    let lookups = hits + miss;
     let hit_pct = if lookups > 0 {
-        100.0 * (l1 + l2) as f64 / lookups as f64
+        100.0 * hits as f64 / lookups as f64
     } else {
         0.0
     };
     out.push_str(&format!(
-        "\nverdict cache   l1 {l1}  l2 {l2}  miss {miss}  evict {}  hit {hit_pct:.1}%\n",
+        "\nverdict cache   hits {hits}  miss {miss}  evict {}  hit {hit_pct:.1}%\n",
         c("fleet.cache.evictions"),
     ));
     out.push_str(&format!(

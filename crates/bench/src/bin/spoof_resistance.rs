@@ -21,8 +21,8 @@
 //! (`multiwire_ablation`).
 //!
 //! Run: `cargo run --release -p divot-bench --bin spoof_resistance`
-//! (pass `--serial` to disable the parallel acquisition engine — results
-//! are bitwise identical either way).
+//! (set `DIVOT_THREADS=1` to run the acquisition engine on one thread —
+//! results are bitwise identical either way).
 
 use divot_bench::{banner, Bench, BenchCli, print_claim, print_metric};
 use divot_core::auth::AuthPolicy;

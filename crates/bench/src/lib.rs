@@ -113,8 +113,6 @@ impl Bench {
 /// wrong configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
-    /// `--serial`: pin every [`ExecPolicy::auto`] fan-out to one thread.
-    pub serial: bool,
     /// `--quick`: small smoke-test batch (binaries that support it).
     pub quick: bool,
     /// `--acq-mode <trial|analytic>`: acquisition engine
@@ -136,7 +134,6 @@ pub struct BenchArgs {
 impl Default for BenchArgs {
     fn default() -> Self {
         Self {
-            serial: false,
             quick: false,
             acq_mode: AcqMode::Trial,
             telemetry: None,
@@ -178,7 +175,6 @@ impl BenchArgs {
                 }
             };
             match flag.as_str() {
-                "--serial" => switch(&mut out.serial)?,
                 "--quick" => switch(&mut out.quick)?,
                 "--metrics-summary" => switch(&mut out.metrics_summary)?,
                 "--acq-mode" => {
@@ -221,12 +217,11 @@ impl BenchArgs {
 }
 
 /// The usage line printed when argument parsing fails.
-pub const USAGE: &str = "usage: <bench-binary> [--serial] [--quick] \
+pub const USAGE: &str = "usage: <bench-binary> [--quick] \
     [--acq-mode <trial|analytic>] [--telemetry <path.jsonl>] [--metrics-summary] \
     [--trace <path.jsonl>] [--trace-sample <n>]";
 
-/// The shared bench command line, activated: `--serial` latched into
-/// [`divot_core::exec::force_serial`], telemetry installed as the
+/// The shared bench command line, activated: telemetry installed as the
 /// process default when `--telemetry`/`--metrics-summary` ask for it.
 ///
 /// Bind the value for the whole of `main`: dropping it prints the
@@ -236,7 +231,8 @@ pub const USAGE: &str = "usage: <bench-binary> [--serial] [--quick] \
 pub struct BenchCli {
     /// The parsed flags.
     pub args: BenchArgs,
-    /// The execution policy in force after `--serial` was applied.
+    /// The execution policy the binaries fan out under
+    /// ([`ExecPolicy::auto`]; `DIVOT_THREADS=1` makes it serial).
     pub policy: ExecPolicy,
 }
 
@@ -254,13 +250,10 @@ impl BenchCli {
         }
     }
 
-    /// Apply parsed flags to the process: latch `--serial`, install the
-    /// global telemetry when requested (exits with status 2 if the
-    /// `--telemetry` file cannot be created).
+    /// Apply parsed flags to the process: install the global telemetry
+    /// when requested (exits with status 2 if the `--telemetry` file
+    /// cannot be created).
     fn activate(args: BenchArgs) -> Self {
-        if args.serial {
-            divot_core::exec::force_serial(true);
-        }
         if args.telemetry.is_some() || args.metrics_summary {
             let telemetry = match &args.telemetry {
                 Some(path) => match divot_telemetry::EventSink::to_file(path) {
@@ -546,7 +539,6 @@ mod tests {
     #[test]
     fn parse_accepts_every_shared_flag() {
         let args = parse(&[
-            "--serial",
             "--quick",
             "--acq-mode",
             "analytic",
@@ -559,7 +551,7 @@ mod tests {
             "8",
         ])
         .unwrap();
-        assert!(args.serial && args.quick && args.metrics_summary);
+        assert!(args.quick && args.metrics_summary);
         assert_eq!(args.acq_mode, AcqMode::Analytic);
         assert_eq!(args.telemetry.as_deref(), Some("/tmp/t.jsonl"));
         assert_eq!(args.trace.as_deref(), Some("/tmp/trace.jsonl"));
@@ -577,7 +569,7 @@ mod tests {
         assert_eq!(args.telemetry.as_deref(), Some("x.jsonl"));
         assert_eq!(args.trace.as_deref(), Some("y.jsonl"));
         assert_eq!(args.trace_sample, 1);
-        assert!(!args.serial && !args.quick && !args.metrics_summary);
+        assert!(!args.quick && !args.metrics_summary);
         assert_eq!(parse(&[]).unwrap(), BenchArgs::default());
         assert_eq!(parse(&[]).unwrap().trace_sample, 16, "1-in-16 default");
     }
@@ -593,7 +585,7 @@ mod tests {
         assert!(parse(&["--trace-sample"]).unwrap_err().contains("requires a value"));
         assert!(parse(&["--trace-sample", "0"]).unwrap_err().contains("positive integer"));
         assert!(parse(&["--trace-sample", "many"]).unwrap_err().contains("positive integer"));
-        assert!(parse(&["--serial=1"]).unwrap_err().contains("takes no value"));
+        assert!(parse(&["--serial"]).unwrap_err().contains("unknown flag"));
         assert!(parse(&["--quick=yes"]).unwrap_err().contains("takes no value"));
     }
 

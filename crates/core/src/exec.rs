@@ -8,13 +8,9 @@
 //! [`ExecPolicy::Parallel`] produce bitwise-identical results. The
 //! `parallel_equivalence` integration test pins this down.
 //!
-//! Selection order for [`ExecPolicy::auto`]:
-//!
-//! 1. [`force_serial`] (set by the bench binaries' `--serial` flag);
-//! 2. the `DIVOT_SERIAL` environment variable (any non-empty value other
-//!    than `0`);
-//! 3. otherwise parallel, with worker count governed by
-//!    [`divot_dsp::par::max_threads`] (`DIVOT_THREADS` respected).
+//! [`ExecPolicy::auto`] is parallel, with the worker count governed by
+//! [`divot_dsp::par::max_threads`]: `DIVOT_THREADS=1` turns every
+//! fan-out into the serial loop.
 //!
 //! # Example
 //!
@@ -26,24 +22,6 @@
 //! ```
 
 use divot_dsp::par;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide override flipping every [`ExecPolicy::auto`] call to
-/// serial (the `--serial` escape hatch).
-static FORCE_SERIAL: AtomicBool = AtomicBool::new(false);
-
-/// Force (or release) serial execution process-wide for all subsequent
-/// [`ExecPolicy::auto`] calls. Used by the bench binaries' `--serial`
-/// flag; tests that need a specific policy should pass it explicitly
-/// instead of toggling this global.
-pub fn force_serial(on: bool) {
-    FORCE_SERIAL.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`force_serial`] is currently set.
-pub fn serial_forced() -> bool {
-    FORCE_SERIAL.load(Ordering::Relaxed)
-}
 
 /// How a fan-out loop should be scheduled.
 ///
@@ -60,17 +38,12 @@ pub enum ExecPolicy {
 }
 
 impl ExecPolicy {
-    /// The ambient policy: serial when [`force_serial`] or the
-    /// `DIVOT_SERIAL` environment variable demands it, parallel
-    /// otherwise.
+    /// The ambient policy: parallel, over as many threads as
+    /// [`divot_dsp::par::max_threads`] allows (`DIVOT_THREADS=1` runs
+    /// every fan-out serially). Tests that need a specific policy pass
+    /// it explicitly.
     pub fn auto() -> Self {
-        if serial_forced() {
-            return ExecPolicy::Serial;
-        }
-        match std::env::var("DIVOT_SERIAL") {
-            Ok(v) if !v.is_empty() && v != "0" => ExecPolicy::Serial,
-            _ => ExecPolicy::Parallel,
-        }
+        ExecPolicy::Parallel
     }
 
     /// A short human-readable label (`"serial"` / `"parallel"`) for bench
@@ -190,7 +163,4 @@ mod tests {
         assert_eq!(ExecPolicy::Serial.label(), "serial");
         assert_eq!(ExecPolicy::Parallel.label(), "parallel");
     }
-
-    // `auto()`'s env/global interplay is intentionally untested here: the
-    // global is process-wide and the test harness is multithreaded.
 }

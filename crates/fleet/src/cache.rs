@@ -1,38 +1,36 @@
-//! Two-tier memoization of fleet verdicts.
+//! Memoization of fleet verdicts: one striped tier shared by every worker
+//! and by the reactor's inline path.
 //!
 //! A verify (or scan) verdict is a pure function of
 //! `(fleet seed, device, nonce)` and of the pairing enrolled at the
 //! time — so once a request has been answered, answering it again is a
-//! lookup, not an engine run. The cache has two tiers:
-//!
-//! - **L1** ([`WorkerTier`]): owned by one worker thread, completely
-//!   lock-free. Repeat traffic that lands on the same worker never
-//!   touches shared state.
-//! - **L2** ([`TwoTierCache`]): shared across workers behind an
-//!   `RwLock`. An L2 hit is promoted into the querying worker's L1, so
-//!   hot devices migrate into every worker's private tier.
+//! lookup, not an engine run.
 //!
 //! **Invalidation is by construction, not by walk.** Cache keys embed
 //! the store's per-shard *enrollment generation*
-//! ([`crate::store::FleetStore::generation`]): re-enrolling a device
-//! bumps its shard's generation, so every verdict memoized under the
-//! old pairing simply never matches again. No tier is ever scanned for
-//! stale entries.
+//! ([`crate::store::FleetStore::shard_generation`]): re-enrolling a
+//! device bumps its shard's generation, so every verdict memoized under
+//! the old pairing simply never matches again.
+//!
+//! **Stripes nest inside store shards.** Each stripe is its own `RwLock`
+//! and holds devices of exactly one store shard, so all of a stripe's
+//! keys share one generation counter. The first verdict stored under a
+//! newer generation therefore finds every entry in its stripe orphaned
+//! and drops them all, and a stripe only ever holds live verdicts: dead
+//! generations go before any live verdict does. A stripe full of live
+//! verdicts is cleared wholesale (the same idiom as the response cache
+//! in `divot-txline`): verdicts are tiny, and a rare full drop keeps the
+//! fast path free of LRU bookkeeping.
 //!
 //! **Determinism is preserved exactly.** Only successful responses are
 //! cached, and a cached response is bit-for-bit the response the
-//! worker computed on first serve — so whether a request hits L1, L2,
-//! or misses entirely, the client observes the identical bytes.
-//! Transient-fault rolls are deterministic per `(device, nonce,
-//! attempt)`, which means a request that succeeded once can never fault
-//! on a repeat: serving it from cache skips only work whose outcome is
-//! already forced.
-//!
-//! Both tiers evict wholesale when full (the same idiom as the
-//! response cache in `divot-txline`): verdicts are tiny, capacities are
-//! generous, and a rare full drop keeps the no-LRU-bookkeeping fast
-//! path honest. Capacity 0 disables the cache entirely — the
-//! determinism suite uses that to A/B cached against uncached runs.
+//! worker computed on first serve — so whether a request hits or misses,
+//! the client observes the identical bytes. Transient-fault rolls are
+//! deterministic per `(device, nonce, attempt)`, which means a request
+//! that succeeded once can never fault on a repeat: serving it from
+//! cache skips only work whose outcome is already forced. Capacity 0
+//! disables the cache entirely — the determinism suite uses that to A/B
+//! cached against uncached runs.
 
 use std::collections::HashMap;
 use std::sync::RwLock;
@@ -57,195 +55,148 @@ pub struct VerdictKey {
     pub kind: VerdictKind,
     /// Device index in the simulated fleet (stable for its lifetime).
     pub device: u32,
+    /// The store shard the device lives in (picks the cache stripe).
+    pub shard: u16,
     /// Store-shard enrollment generation the verdict was computed under.
     pub generation: u64,
     /// The request nonce.
     pub nonce: u64,
 }
 
-/// A worker's private L1 tier: plain map, no locks, owned by exactly
-/// one worker thread.
-#[derive(Debug, Default)]
-pub struct WorkerTier<V> {
+/// Minimum number of stripes: with the default 8 store shards, each
+/// shard owns 2 stripes.
+const MIN_STRIPES: usize = 16;
+
+/// One stripe: memoized verdicts of part of one store shard, all
+/// computed under the shard generation the stripe last saw.
+#[derive(Debug)]
+struct Stripe<V> {
     map: HashMap<VerdictKey, V>,
+    generation: u64,
 }
 
-impl<V> WorkerTier<V> {
-    /// An empty tier.
-    pub fn new() -> Self {
-        Self {
-            map: HashMap::new(),
-        }
-    }
-
-    /// Number of memoized verdicts in this tier.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the tier holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-/// Number of independent L2 stripes. Each stripe is its own `RwLock`,
-/// chosen by the FNV hash of the key's device index — the same hash
-/// family the [`crate::store::FleetStore`] shards by — so concurrent
-/// workers (and the reactor's lock-free [`TwoTierCache::peek`] path)
-/// contend only when they touch the same device neighborhood.
-const L2_STRIPES: usize = 16;
-
-/// FNV-1a over the device index, reduced to a stripe slot.
-fn stripe_of(key: &VerdictKey) -> usize {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for b in key.device.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    (h % L2_STRIPES as u64) as usize
-}
-
-/// The shared L2 tier plus the lookup/store protocol across both tiers.
-///
-/// The L2 is striped: `L2_STRIPES` independent `RwLock`ed maps keyed
-/// by the FNV device hash, so the 8-worker warm path no longer
-/// serializes on a single shared lock (the ROADMAP's named contention
-/// candidate).
+/// The shared verdict cache: `RwLock`ed stripes, each holding devices
+/// of exactly one store shard.
 ///
 /// ```
-/// use divot_fleet::cache::{TwoTierCache, VerdictKey, VerdictKind, WorkerTier};
+/// use divot_fleet::cache::{VerdictCache, VerdictKey, VerdictKind};
 ///
-/// let cache: TwoTierCache<&'static str> = TwoTierCache::new(64);
-/// let mut l1 = WorkerTier::new();
+/// // 64 entries over the stripes of an 8-shard store.
+/// let cache: VerdictCache<&'static str> = VerdictCache::new(64, 8);
 /// let key = VerdictKey {
 ///     kind: VerdictKind::Verify,
 ///     device: 3,
+///     shard: 5,
 ///     generation: 1,
 ///     nonce: 42,
 /// };
-/// assert_eq!(cache.lookup(&mut l1, &key), None);
-/// cache.store(&mut l1, key, "accepted");
-/// // Hits L1 on this worker…
-/// assert_eq!(cache.lookup(&mut l1, &key), Some("accepted"));
-/// // …and L2 (then L1) on any other worker.
-/// let mut other_l1 = WorkerTier::new();
-/// assert_eq!(cache.lookup(&mut other_l1, &key), Some("accepted"));
-/// assert_eq!(other_l1.len(), 1);
-/// // The reactor's inline path peeks L2 without an L1 (no promotion).
-/// assert_eq!(cache.peek(&key), Some("accepted"));
+/// assert_eq!(cache.get(&key), None);
+/// cache.insert(key, "accepted");
+/// assert_eq!(cache.get(&key), Some("accepted"));
+/// // Re-enrolling a device on shard 5 advances its generation: the old
+/// // verdict no longer matches.
+/// assert_eq!(cache.get(&VerdictKey { generation: 2, ..key }), None);
 /// ```
 #[derive(Debug)]
-pub struct TwoTierCache<V> {
-    stripes: Box<[RwLock<HashMap<VerdictKey, V>>]>,
-    /// L1 entry budget; 0 disables the cache.
-    capacity: usize,
-    /// Entry budget of each L2 stripe (`capacity`, spread).
+pub struct VerdictCache<V> {
+    stripes: Box<[RwLock<Stripe<V>>]>,
+    /// Stripes per store shard.
+    per_shard: usize,
+    /// Entry budget of each stripe; 0 disables the cache.
     stripe_capacity: usize,
 }
 
-impl<V: Clone> TwoTierCache<V> {
-    /// A cache with `capacity` entries per tier (the shared tier spreads
-    /// its budget across `L2_STRIPES` stripes). `0` disables caching:
-    /// every lookup misses silently and every store is a no-op (no
-    /// telemetry either, so disabled runs count zero `fleet.cache.*`).
-    pub fn new(capacity: usize) -> Self {
-        let stripes = (0..L2_STRIPES)
-            .map(|_| RwLock::new(HashMap::new()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+impl<V: Clone> VerdictCache<V> {
+    /// A cache of `capacity` entries in total, striped over a store of
+    /// `shards` shards (each shard gets `⌈16 / shards⌉` stripes). `0`
+    /// disables caching: every lookup misses silently and every insert
+    /// is a no-op (no telemetry either, so disabled runs count zero
+    /// `fleet.cache.*`).
+    pub fn new(capacity: usize, shards: usize) -> Self {
+        let shards = shards.max(1);
+        assert!(shards <= 1 << 16, "a key names its shard in 16 bits");
+        let per_shard = MIN_STRIPES.div_ceil(shards);
+        let count = shards * per_shard;
+        let stripes = (0..count)
+            .map(|_| {
+                RwLock::new(Stripe {
+                    map: HashMap::new(),
+                    generation: 0,
+                })
+            })
+            .collect();
         Self {
             stripes,
-            capacity,
-            stripe_capacity: capacity.div_ceil(L2_STRIPES),
+            per_shard,
+            stripe_capacity: capacity.div_ceil(count),
         }
     }
 
     /// Whether the cache is enabled (capacity > 0).
     pub fn enabled(&self) -> bool {
-        self.capacity > 0
+        self.stripe_capacity > 0
     }
 
-    /// Number of entries in the shared L2 tier (all stripes).
-    pub fn shared_len(&self) -> usize {
+    /// Number of memoized verdicts (all stripes).
+    pub fn len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|s| s.read().expect("verdict cache poisoned").len())
+            .map(|s| s.read().expect("verdict cache poisoned").map.len())
             .sum()
     }
 
-    /// Look `key` up: the caller's L1 first, then the key's L2 stripe
-    /// (promoting a hit into L1). Emits
-    /// `fleet.cache.{l1_hits,l2_hits,misses}`.
-    pub fn lookup(&self, l1: &mut WorkerTier<V>, key: &VerdictKey) -> Option<V> {
-        if !self.enabled() {
-            return None;
-        }
-        if let Some(v) = l1.map.get(key) {
-            divot_telemetry::inc("fleet.cache.l1_hits");
-            return Some(v.clone());
-        }
-        let from_shared = self.stripes[stripe_of(key)]
-            .read()
-            .expect("verdict cache poisoned")
-            .get(key)
-            .cloned();
-        match from_shared {
-            Some(v) => {
-                divot_telemetry::inc("fleet.cache.l2_hits");
-                Self::insert_bounded(&mut l1.map, self.capacity, *key, v.clone());
-                Some(v)
-            }
-            None => {
-                divot_telemetry::inc("fleet.cache.misses");
-                None
-            }
-        }
+    /// Whether the cache holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// L2-only lookup without an L1 tier and without promotion — the
-    /// reactor serves warm repeats inline off this before paying a
-    /// worker-pool round trip. A hit counts `fleet.cache.l2_hits`; a
-    /// miss counts nothing (the request proceeds to a worker whose
-    /// [`lookup`](Self::lookup) accounts for it once).
-    pub fn peek(&self, key: &VerdictKey) -> Option<V> {
+    /// The stripe `key` lives in.
+    fn stripe(&self, key: &VerdictKey) -> &RwLock<Stripe<V>> {
+        let slot = key.device as usize % self.per_shard;
+        &self.stripes[usize::from(key.shard) * self.per_shard + slot]
+    }
+
+    /// Look `key` up. A hit counts `fleet.cache.verdict_hits`; a miss
+    /// counts nothing, because only the caller knows whether it will
+    /// compute the verdict (a worker) or hand it on (the reactor).
+    pub fn get(&self, key: &VerdictKey) -> Option<V> {
         if !self.enabled() {
             return None;
         }
-        let v = self.stripes[stripe_of(key)]
+        let v = self
+            .stripe(key)
             .read()
             .expect("verdict cache poisoned")
+            .map
             .get(key)
             .cloned();
         if v.is_some() {
-            divot_telemetry::inc("fleet.cache.l2_hits");
+            divot_telemetry::inc("fleet.cache.verdict_hits");
         }
         v
     }
 
-    /// Memoize `value` under `key` in both the caller's L1 and the
-    /// key's L2 stripe.
-    pub fn store(&self, l1: &mut WorkerTier<V>, key: VerdictKey, value: V) {
+    /// Memoize `value` under `key`. A key of a newer generation than the
+    /// stripe's drops the stripe's orphaned verdicts first; a key of an
+    /// older one is already orphaned and is not stored. A stripe full of
+    /// live verdicts clears wholesale (counted in
+    /// `fleet.cache.evictions`).
+    pub fn insert(&self, key: VerdictKey, value: V) {
         if !self.enabled() {
             return;
         }
-        Self::insert_bounded(&mut l1.map, self.capacity, key, value.clone());
-        let mut stripe = self.stripes[stripe_of(&key)]
-            .write()
-            .expect("verdict cache poisoned");
-        Self::insert_bounded(&mut stripe, self.stripe_capacity, key, value);
-    }
-
-    /// Insert with wholesale eviction: a full map is cleared rather than
-    /// LRU-tracked (counted in `fleet.cache.evictions`).
-    fn insert_bounded(map: &mut HashMap<VerdictKey, V>, capacity: usize, key: VerdictKey, v: V) {
-        if map.len() >= capacity && !map.contains_key(&key) {
-            map.clear();
+        let mut stripe = self.stripe(&key).write().expect("verdict cache poisoned");
+        if key.generation < stripe.generation {
+            return;
+        }
+        if key.generation > stripe.generation {
+            stripe.generation = key.generation;
+            stripe.map.clear();
+        } else if stripe.map.len() >= self.stripe_capacity && !stripe.map.contains_key(&key) {
+            stripe.map.clear();
             divot_telemetry::inc("fleet.cache.evictions");
         }
-        map.insert(key, v);
+        stripe.map.insert(key, value);
     }
 }
 
@@ -253,114 +204,125 @@ impl<V: Clone> TwoTierCache<V> {
 mod tests {
     use super::*;
 
-    fn key(device: u32, generation: u64, nonce: u64) -> VerdictKey {
+    /// A verify key on shard `shard` of an 8-shard store.
+    fn key(device: u32, shard: u16, generation: u64, nonce: u64) -> VerdictKey {
         VerdictKey {
             kind: VerdictKind::Verify,
             device,
+            shard,
             generation,
             nonce,
         }
     }
 
     #[test]
-    fn miss_then_l1_hit() {
-        let cache = TwoTierCache::new(16);
-        let mut l1 = WorkerTier::new();
-        assert_eq!(cache.lookup(&mut l1, &key(0, 0, 1)), None);
-        cache.store(&mut l1, key(0, 0, 1), 7u64);
-        assert_eq!(cache.lookup(&mut l1, &key(0, 0, 1)), Some(7));
-        assert_eq!(l1.len(), 1);
-        assert_eq!(cache.shared_len(), 1);
-    }
-
-    #[test]
-    fn l2_hit_promotes_into_other_workers_l1() {
-        let cache = TwoTierCache::new(16);
-        let mut a = WorkerTier::new();
-        let mut b = WorkerTier::new();
-        cache.store(&mut a, key(1, 0, 5), "v");
-        assert!(b.is_empty());
-        assert_eq!(cache.lookup(&mut b, &key(1, 0, 5)), Some("v"));
-        assert_eq!(b.len(), 1, "L2 hit must promote into L1");
+    fn miss_then_hit() {
+        let cache = VerdictCache::new(64, 8);
+        assert_eq!(cache.get(&key(0, 0, 0, 1)), None);
+        cache.insert(key(0, 0, 0, 1), 7u64);
+        assert_eq!(cache.get(&key(0, 0, 0, 1)), Some(7));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn generation_change_orphans_old_entries() {
-        let cache = TwoTierCache::new(16);
-        let mut l1 = WorkerTier::new();
-        cache.store(&mut l1, key(2, 0, 9), true);
+        let cache = VerdictCache::new(64, 8);
+        cache.insert(key(2, 1, 0, 9), true);
         // Same device and nonce under the next enrollment generation:
         // clean miss, the stale verdict can never be served.
-        assert_eq!(cache.lookup(&mut l1, &key(2, 1, 9)), None);
-        assert_eq!(cache.lookup(&mut l1, &key(2, 0, 9)), Some(true));
+        assert_eq!(cache.get(&key(2, 1, 1, 9)), None);
+        assert_eq!(cache.get(&key(2, 1, 0, 9)), Some(true));
+        // Once the stripe holds the newer generation, the old verdicts
+        // are gone, and a late insert under the old one is not stored.
+        cache.insert(key(2, 1, 1, 9), false);
+        cache.insert(key(2, 1, 0, 10), true);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.get(&key(2, 1, 1, 9)), Some(false));
     }
 
     #[test]
     fn kinds_do_not_alias() {
-        let cache = TwoTierCache::new(16);
-        let mut l1 = WorkerTier::new();
-        let verify = key(0, 0, 1);
+        let cache = VerdictCache::new(64, 8);
+        let verify = key(0, 0, 0, 1);
         let scan = VerdictKey {
             kind: VerdictKind::Scan,
             ..verify
         };
-        cache.store(&mut l1, verify, 1u8);
-        assert_eq!(cache.lookup(&mut l1, &scan), None);
+        cache.insert(verify, 1u8);
+        assert_eq!(cache.get(&scan), None);
     }
 
     #[test]
     fn zero_capacity_disables() {
-        let cache = TwoTierCache::new(0);
-        let mut l1 = WorkerTier::new();
+        let cache = VerdictCache::new(0, 8);
         assert!(!cache.enabled());
-        cache.store(&mut l1, key(0, 0, 1), 1u8);
-        assert_eq!(cache.lookup(&mut l1, &key(0, 0, 1)), None);
-        assert!(l1.is_empty());
-        assert_eq!(cache.shared_len(), 0);
+        cache.insert(key(0, 0, 0, 1), 1u8);
+        assert_eq!(cache.get(&key(0, 0, 0, 1)), None);
+        assert!(cache.is_empty());
     }
 
     #[test]
-    fn peek_reads_l2_without_promoting() {
-        let cache = TwoTierCache::new(16);
-        let mut l1 = WorkerTier::new();
-        assert_eq!(cache.peek(&key(4, 0, 1)), None);
-        cache.store(&mut l1, key(4, 0, 1), 11u8);
-        let mut other = WorkerTier::new();
-        assert_eq!(cache.peek(&key(4, 0, 1)), Some(11));
-        assert!(other.is_empty(), "peek must not need or touch an L1");
-        // A normal lookup still promotes afterwards.
-        assert_eq!(cache.lookup(&mut other, &key(4, 0, 1)), Some(11));
-        assert_eq!(other.len(), 1);
+    fn full_stripe_of_live_entries_clears_wholesale() {
+        // 16 stripes of 2 entries; device parity picks the stripe within
+        // a shard, so even devices on shard 0 share one stripe.
+        let cache = VerdictCache::new(32, 8);
+        cache.insert(key(0, 0, 0, 1), 1u8);
+        cache.insert(key(0, 0, 0, 2), 2u8);
+        cache.insert(key(0, 0, 0, 3), 3u8);
+        assert_eq!(cache.len(), 1, "third insert clears the full stripe first");
+        assert_eq!(cache.get(&key(0, 0, 0, 3)), Some(3));
+        assert_eq!(cache.get(&key(0, 0, 0, 1)), None);
     }
 
     #[test]
-    fn stripes_isolate_devices() {
-        // Devices landing on different stripes keep their entries even
-        // when one stripe churns at capacity.
-        let cache = TwoTierCache::new(L2_STRIPES * 2);
-        let mut l1 = WorkerTier::new();
-        for device in 0..64u32 {
-            cache.store(&mut l1, key(device, 0, 1), device);
+    fn full_stripe_drops_dead_generations_first() {
+        // 16 stripes of 8 entries.
+        let cache = VerdictCache::new(128, 8);
+        for nonce in 0..6 {
+            cache.insert(key(0, 0, 0, nonce), 0u8);
         }
-        let survivors = (0..64u32)
-            .filter(|&d| cache.peek(&key(d, 0, 1)).is_some())
-            .count();
-        assert!(
-            survivors >= L2_STRIPES,
-            "wholesale eviction must stay per-stripe (kept {survivors})"
-        );
-        assert_eq!(cache.shared_len(), survivors);
+        // A re-enrollment on shard 0 orphans those six. Nine inserts
+        // overflow the stripe, and a wholesale drop there would take the
+        // live verdicts of generation 1 with it; the orphans go first.
+        cache.insert(key(2, 0, 1, 0), 1u8);
+        cache.insert(key(2, 0, 1, 1), 1u8);
+        cache.insert(key(4, 0, 1, 2), 1u8);
+        assert_eq!(cache.len(), 3);
+        for (device, nonce) in [(2, 0), (2, 1), (4, 2)] {
+            assert_eq!(cache.get(&key(device, 0, 1, nonce)), Some(1));
+        }
+        assert_eq!(cache.get(&key(0, 0, 0, 0)), None);
     }
 
     #[test]
-    fn full_tier_evicts_wholesale() {
-        let cache = TwoTierCache::new(2);
-        let mut l1 = WorkerTier::new();
-        cache.store(&mut l1, key(0, 0, 1), 1u8);
-        cache.store(&mut l1, key(0, 0, 2), 2u8);
-        cache.store(&mut l1, key(0, 0, 3), 3u8);
-        assert_eq!(l1.len(), 1, "third insert clears the full tier first");
-        assert_eq!(cache.lookup(&mut l1, &key(0, 0, 3)), Some(3));
-        assert_eq!(cache.lookup(&mut l1, &key(0, 0, 1)), None);
+    fn stripes_isolate_shards() {
+        // Shard 3 churns far past its stripes' capacity; the verdicts of
+        // every other shard stay put.
+        let cache = VerdictCache::new(32, 8);
+        for shard in [0u16, 1, 2, 4] {
+            cache.insert(key(u32::from(shard), shard, 0, 1), shard);
+        }
+        for nonce in 0..64 {
+            cache.insert(key(nonce as u32, 3, 0, nonce), 3);
+        }
+        for shard in [0u16, 1, 2, 4] {
+            assert_eq!(cache.get(&key(u32::from(shard), shard, 0, 1)), Some(shard));
+        }
+        assert!(
+            cache.len() <= 4 + 2 * 2,
+            "shard 3 holds at most its two stripes"
+        );
+    }
+
+    #[test]
+    fn every_shard_count_gets_its_own_stripes() {
+        for shards in [1, 3, 8, 16, 32] {
+            let cache = VerdictCache::new(4096, shards);
+            assert!(cache.stripes.len() >= MIN_STRIPES);
+            assert_eq!(cache.stripes.len() % shards, 0);
+            let last = key(u32::MAX, (shards - 1) as u16, 0, 0);
+            cache.insert(last, ());
+            assert_eq!(cache.get(&last), Some(()));
+        }
     }
 }

@@ -29,10 +29,11 @@
 //!   of buffering without bound; expired deadlines are rejected at
 //!   dequeue; transient acquisition faults retry with deterministic
 //!   jittered backoff.
-//! - [`cache`] — [`TwoTierCache`](cache::TwoTierCache): verdict
-//!   memoization behind the verify fast path. L1 is per-worker and
-//!   lock-free, L2 is shared; keys embed the store's enrollment
-//!   generation so re-enrollment invalidates without a cache walk.
+//! - [`cache`] — [`VerdictCache`](cache::VerdictCache): verdict
+//!   memoization behind the verify fast path, one tier shared by every
+//!   worker and the reactor, striped inside the store's shards; keys
+//!   embed the shard's enrollment generation so re-enrollment
+//!   invalidates without a cache walk.
 //! - [`wire`] — a length-prefixed binary protocol with one version:
 //!   id-tagged requests answered by enveloped replies in completion
 //!   order, plus the blocking [`PipelinedFleetClient`]. The in-process
@@ -60,8 +61,8 @@
 //! `fleet.queue.depth` (gauge), `fleet.request.latency` plus per-kind
 //! latency histograms, `fleet.verify.accepts` / `fleet.verify.rejects`,
 //! `fleet.shed`, `fleet.deadline_misses`, `fleet.retries`, and the
-//! verdict-cache counters `fleet.cache.l1_hits` / `fleet.cache.l2_hits`
-//! / `fleet.cache.misses` / `fleet.cache.evictions`. The reactor adds
+//! verdict-cache counters `fleet.cache.verdict_hits` /
+//! `fleet.cache.misses` / `fleet.cache.evictions`. The reactor adds
 //! `fleet.reactor.wakeups`, `fleet.reactor.frames`,
 //! `fleet.reactor.frames_per_wakeup`, `fleet.reactor.pipeline_depth`,
 //! `fleet.reactor.batch_width`, `fleet.reactor.inline_hits`,

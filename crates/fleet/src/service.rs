@@ -23,14 +23,14 @@
 //! `(fleet seed, device, nonce)` (see [`crate::sim`]), so any worker
 //! count yields bitwise-identical responses.
 //!
-//! That purity also powers the verify fast path: each worker owns a
-//! private L1 verdict tier and shares an L2 tier (see [`crate::cache`]),
-//! so a repeat verify of the same `(device, nonce)` under the same
+//! That purity also powers the verify fast path: workers and the
+//! reactor share one striped verdict cache (see [`crate::cache`]), so a
+//! repeat verify of the same `(device, nonce)` under the same
 //! enrollment generation is answered without running the acquisition
 //! engine at all — and the cached bytes are identical to a fresh
 //! computation, so memoization is invisible to the determinism contract.
 
-use crate::cache::{TwoTierCache, VerdictKey, VerdictKind, WorkerTier};
+use crate::cache::{VerdictCache, VerdictKey, VerdictKind};
 use crate::error::{FleetError, ShedReason};
 use crate::sim::SimulatedFleet;
 use crate::store::FleetStore;
@@ -342,7 +342,7 @@ pub struct FleetConfig {
     pub tamper_margin: f64,
     /// Transient-fault retry policy.
     pub retry: RetryPolicy,
-    /// Verdict-cache entries per tier (L1 per worker, shared L2).
+    /// Verdict-cache entries in total, spread over the cache's stripes.
     /// `0` disables verdict memoization entirely — the determinism
     /// suite uses that to A/B cached against uncached service runs.
     pub verdict_cache_capacity: usize,
@@ -384,7 +384,7 @@ impl FleetConfig {
     }
 
     /// The same configuration with an explicit verdict-cache capacity
-    /// per tier (`0` disables verdict memoization).
+    /// in entries (`0` disables verdict memoization).
     pub fn with_verdict_cache_capacity(mut self, cap: usize) -> Self {
         self.verdict_cache_capacity = cap;
         self
@@ -494,9 +494,9 @@ struct ServiceInner {
     /// calibrates identical thresholds). Devices restored from persisted
     /// banks without re-enrollment fall back to the policy floor.
     thresholds: std::sync::RwLock<std::collections::HashMap<String, f64>>,
-    /// The shared L2 verdict tier; each worker thread owns its own L1
-    /// [`WorkerTier`] inside its [`work`](Self::work) loop.
-    verdicts: TwoTierCache<Response>,
+    /// The verdict cache every worker and the reactor's inline path
+    /// read and fill.
+    verdicts: VerdictCache<Response>,
     /// The golden-free population model intake scans attest against —
     /// installed (replaced whole) by [`Request::CohortEnroll`]. Scoring
     /// takes a clone of the `Arc` and drops the lock, so a model swap
@@ -605,10 +605,8 @@ impl ServiceInner {
         outcomes
     }
 
-    /// Worker loop: drain jobs until the queue closes. The L1 verdict
-    /// tier lives here — owned by this thread, untouched by any lock.
+    /// Worker loop: drain jobs until the queue closes.
     fn work(&self) {
-        let mut l1 = WorkerTier::new();
         loop {
             let job = {
                 let mut q = self.queue.lock().expect("queue lock poisoned");
@@ -641,7 +639,7 @@ impl ServiceInner {
                 divot_telemetry::inc("fleet.deadline_misses");
                 Err(FleetError::DeadlineExceeded)
             } else {
-                self.handle(&job.request, job.trace, &mut l1)
+                self.handle(&job.request, job.trace)
             };
             let total = job.submitted.elapsed();
             let elapsed = total.as_secs_f64();
@@ -693,29 +691,45 @@ impl ServiceInner {
     }
 
     /// Jittered exponential backoff before retrying `attempt`: the
-    /// jitter fraction derives from `(device, nonce, attempt)`, so the
-    /// wait schedule is reproducible without being synchronized across
-    /// requests (no thundering herd).
+    /// jitter fraction derives from `(device, nonce, attempt)`, with the
+    /// device by its fleet index as in
+    /// [`SimulatedFleet::transient_fault`], so the wait schedule is
+    /// reproducible without being synchronized across requests (no
+    /// thundering herd).
     fn backoff(&self, device: &str, nonce: u64, attempt: u32) -> Duration {
         let retry = self.config.retry;
+        // Faults roll only for known devices, so the index is present.
+        let index = self.sim.device_index(device).unwrap_or_default();
         let mut rng = DivotRng::derive(
             mix_seed(nonce, 0xB0FF_0000 | u64::from(attempt)),
-            device.len() as u64,
+            index as u64,
         );
         let jitter = 1.0 + retry.jitter.max(0.0) * rng.uniform();
         let exp = 1u32 << attempt.min(16);
         retry.base_backoff.mul_f64(f64::from(exp) * jitter)
     }
 
-    /// The cache key of a memoizable request: `None` for kinds that are
-    /// never memoized (enroll mutates, snapshots are cheap listings) and
-    /// for devices the fleet does not know.
-    fn verdict_key(&self, kind: VerdictKind, device: &str, nonce: u64) -> Option<VerdictKey> {
+    /// The cache key of a memoizable request (verify or scan): `None`
+    /// for kinds that are never memoized (enrolls mutate, intake boards
+    /// are fresh, snapshots are cheap listings) and for devices the
+    /// fleet does not know.
+    fn verdict_key(&self, request: &Request) -> Option<VerdictKey> {
+        let (kind, device, nonce) = match request {
+            Request::Verify { device, nonce } => (VerdictKind::Verify, device, *nonce),
+            Request::MonitorScan { device, nonce } => (VerdictKind::Scan, device, *nonce),
+            Request::Enroll { .. }
+            | Request::CohortEnroll { .. }
+            | Request::IntakeScan { .. }
+            | Request::RegistrySnapshot
+            | Request::Stats => return None,
+        };
         let index = self.sim.device_index(device)?;
+        let shard = self.store.shard_of(device);
         Some(VerdictKey {
             kind,
             device: index as u32,
-            generation: self.store.generation(device),
+            shard: shard as u16,
+            generation: self.store.shard_generation(shard),
             nonce,
         })
     }
@@ -752,44 +766,30 @@ impl ServiceInner {
         }
     }
 
-    fn handle(
-        &self,
-        request: &Request,
-        trace: Option<TraceCtx>,
-        l1: &mut WorkerTier<Response>,
-    ) -> Result<Response, FleetError> {
+    fn handle(&self, request: &Request, trace: Option<TraceCtx>) -> Result<Response, FleetError> {
         // Memoized fast path. The generation in the key is read before
         // the acquisition: a re-enrollment racing a verify can at worst
         // store the verdict under an already-orphaned generation (never
         // served again), exactly as if the verify had lost the race
         // without a cache.
-        let key = match request {
-            Request::Verify { device, nonce } => {
-                self.verdict_key(VerdictKind::Verify, device, *nonce)
-            }
-            Request::MonitorScan { device, nonce } => {
-                self.verdict_key(VerdictKind::Scan, device, *nonce)
-            }
-            Request::Enroll { .. }
-            | Request::CohortEnroll { .. }
-            | Request::IntakeScan { .. }
-            | Request::RegistrySnapshot
-            | Request::Stats => None,
-        };
+        let key = self.verdict_key(request);
         if let Some(k) = &key {
             let span = trace.map(|c| c.span(request.kind(), "cache_lookup"));
-            let hit = self.verdicts.lookup(l1, k);
+            let hit = self.verdicts.get(k);
             drop(span);
             if let Some(response) = hit {
                 self.note_outcome(&response);
                 return Ok(response);
+            }
+            if self.verdicts.enabled() {
+                divot_telemetry::inc("fleet.cache.misses");
             }
         }
         let outcome = self.compute(request, trace);
         if let Ok(response) = &outcome {
             self.note_outcome(response);
             if let Some(k) = key {
-                self.verdicts.store(l1, k, response.clone());
+                self.verdicts.insert(k, response.clone());
             }
         }
         outcome
@@ -1021,7 +1021,7 @@ impl FleetService {
         let inner = Arc::new(ServiceInner {
             authenticator: Authenticator::new(config.auth),
             thresholds: std::sync::RwLock::new(std::collections::HashMap::new()),
-            verdicts: TwoTierCache::new(config.verdict_cache_capacity),
+            verdicts: VerdictCache::new(config.verdict_cache_capacity, store.shard_count()),
             cohort: std::sync::RwLock::new(None),
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -1205,20 +1205,8 @@ impl FleetClient {
     /// bit-for-bit what a worker would produce, and outcome counters
     /// advance exactly as for a worker-served response.
     pub fn try_cached(&self, request: &Request) -> Option<Response> {
-        let key = match request {
-            Request::Verify { device, nonce } => {
-                self.inner.verdict_key(VerdictKind::Verify, device, *nonce)?
-            }
-            Request::MonitorScan { device, nonce } => {
-                self.inner.verdict_key(VerdictKind::Scan, device, *nonce)?
-            }
-            Request::Enroll { .. }
-            | Request::CohortEnroll { .. }
-            | Request::IntakeScan { .. }
-            | Request::RegistrySnapshot
-            | Request::Stats => return None,
-        };
-        let response = self.inner.verdicts.peek(&key)?;
+        let key = self.inner.verdict_key(request)?;
+        let response = self.inner.verdicts.get(&key)?;
         self.inner.note_outcome(&response);
         Some(response)
     }
@@ -1477,6 +1465,18 @@ mod tests {
     }
 
     #[test]
+    fn same_length_device_names_back_off_apart() {
+        let svc = service(3, 1);
+        let (a, b) = (SimulatedFleet::device_name(1), SimulatedFleet::device_name(2));
+        assert_eq!(a.len(), b.len());
+        for attempt in 0..3 {
+            let wait = |device: &str| svc.inner.backoff(device, 5, attempt);
+            assert_ne!(wait(&a), wait(&b), "attempt {attempt} waits in lockstep");
+            assert_eq!(wait(&a), wait(&a), "the schedule is reproducible");
+        }
+    }
+
+    #[test]
     fn repeat_requests_are_served_from_the_verdict_cache_identically() {
         let svc = service(2, 2);
         let client = svc.client();
@@ -1497,7 +1497,7 @@ mod tests {
             nonce: 78,
         };
         let first = (client.call(verify.clone()).unwrap(), client.call(scan.clone()).unwrap());
-        assert!(svc.inner.verdicts.shared_len() >= 2, "verdicts memoized");
+        assert!(svc.inner.verdicts.len() >= 2, "verdicts memoized");
         for _ in 0..3 {
             assert_eq!(client.call(verify.clone()).unwrap(), first.0);
             assert_eq!(client.call(scan.clone()).unwrap(), first.1);
@@ -1561,7 +1561,7 @@ mod tests {
         let a = client.call(verify.clone()).unwrap();
         let b = client.call(verify).unwrap();
         assert_eq!(a, b);
-        assert_eq!(svc.inner.verdicts.shared_len(), 0, "capacity 0 memoizes nothing");
+        assert_eq!(svc.inner.verdicts.len(), 0, "capacity 0 memoizes nothing");
     }
 
     #[test]

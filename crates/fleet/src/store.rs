@@ -92,14 +92,14 @@ impl FleetStore {
         self.len() == 0
     }
 
-    /// The enrollment generation of the shard `device` maps to.
+    /// The enrollment generation of `shard`.
     ///
     /// Starts at 0 and advances monotonically whenever any pairing on
     /// that shard is registered or removed. Verdicts memoized under an
     /// old generation can therefore never be served after a
     /// re-enrollment: the generation is part of their cache key.
-    pub fn generation(&self, device: &str) -> u64 {
-        self.generations[self.shard_of(device)].load(Ordering::Acquire)
+    pub fn shard_generation(&self, shard: usize) -> u64 {
+        self.generations[shard].load(Ordering::Acquire)
     }
 
     /// Record how long a shard's write lock was held: one per-shard
@@ -286,6 +286,23 @@ mod tests {
         assert!(store.remove("bus-7").is_some());
         assert!(store.remove("bus-7").is_none());
         assert_eq!(store.len(), 11);
+    }
+
+    #[test]
+    fn mutations_advance_only_their_shards_generation() {
+        let store = FleetStore::new(4);
+        let shard = store.shard_of("bus-1");
+        store.register("bus-1", pairing(1e-3));
+        store.register("bus-1", pairing(2e-3));
+        // Removing a device that was never enrolled bumps nothing.
+        assert!(store.remove("bus-9").is_none());
+        let generations: Vec<u64> = (0..4).map(|s| store.shard_generation(s)).collect();
+        assert_eq!(generations[shard], 2, "one bump per register");
+        for (s, g) in generations.iter().enumerate().filter(|&(s, _)| s != shard) {
+            assert_eq!(*g, 0, "shard {s} untouched");
+        }
+        store.remove("bus-1");
+        assert_eq!(store.shard_generation(shard), 3);
     }
 
     #[test]

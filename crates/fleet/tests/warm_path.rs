@@ -79,7 +79,7 @@ fn warm_verifies_never_rerun_the_engine() {
         measurements_after_cold,
         "repeat verify must not measure"
     );
-    assert!(counter("fleet.cache.l1_hits") + counter("fleet.cache.l2_hits") >= 5);
+    assert!(counter("fleet.cache.verdict_hits") >= 5);
 
     // Fresh nonces: the instrument runs (new physics draw), but every
     // fabrication product is served from the memoized warm state.
