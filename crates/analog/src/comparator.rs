@@ -48,7 +48,10 @@ impl Comparator {
     ///
     /// Panics if `noise_sigma < 0` or `hysteresis < 0`.
     pub fn new(config: &ComparatorConfig, rng: &mut DivotRng) -> Self {
-        assert!(config.noise_sigma >= 0.0, "noise sigma must be non-negative");
+        assert!(
+            config.noise_sigma >= 0.0,
+            "noise sigma must be non-negative"
+        );
         assert!(config.hysteresis >= 0.0, "hysteresis must be non-negative");
         Self {
             noise_sigma: config.noise_sigma,
@@ -100,7 +103,12 @@ impl Comparator {
         } else {
             0.0
         };
-        let threshold = v_ref + if self.last { -self.hysteresis } else { self.hysteresis };
+        let threshold = v_ref
+            + if self.last {
+                -self.hysteresis
+            } else {
+                self.hysteresis
+            };
         let y = v_sig + self.offset + noise > threshold;
         self.last = y;
         y

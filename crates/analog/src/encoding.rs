@@ -151,8 +151,7 @@ impl Scrambler {
 
     fn next_bit(&mut self) -> u8 {
         // Taps at 32, 22, 2, 1 (1-indexed from the output).
-        let b = ((self.state >> 31) ^ (self.state >> 21) ^ (self.state >> 1) ^ self.state)
-            & 1;
+        let b = ((self.state >> 31) ^ (self.state >> 21) ^ (self.state >> 1) ^ self.state) & 1;
         self.state = (self.state << 1) | b;
         b as u8
     }

@@ -101,7 +101,10 @@ impl FrontEndConfig {
         let mut schedule: Vec<(f64, u32)> = Vec::new();
         for r in 0..period {
             let level = self.modulation.value_at_phase(self.vernier.phase(r));
-            match schedule.iter_mut().find(|(l, _)| l.to_bits() == level.to_bits()) {
+            match schedule
+                .iter_mut()
+                .find(|(l, _)| l.to_bits() == level.to_bits())
+            {
                 Some((_, count)) => *count += sweeps,
                 None => schedule.push((level, sweeps)),
             }
@@ -261,7 +264,8 @@ impl FrontEnd {
         if let Some(emi) = &mut self.emi {
             detector += emi.sample(t, &mut self.rng);
         }
-        self.comparator.decide(detector, self.current_ref, &mut self.rng)
+        self.comparator
+            .decide(detector, self.current_ref, &mut self.rng)
     }
 
     /// The comparator's input-referred noise sigma (needed by the
@@ -494,7 +498,10 @@ mod tests {
     fn trip_probability_matches_trial_rate() {
         // The closed-form model vs the simulated chain, quiet and with the
         // EMI aggressor folded into the effective sigma.
-        for cfg in [FrontEndConfig::default(), FrontEndConfig::with_emi_aggressor()] {
+        for cfg in [
+            FrontEndConfig::default(),
+            FrontEndConfig::with_emi_aggressor(),
+        ] {
             let mut fe = FrontEnd::new(cfg, 11);
             assert!(fe.supports_analytic());
             let level = fe.begin_trigger();

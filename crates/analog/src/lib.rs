@@ -25,8 +25,8 @@
 #![warn(missing_docs)]
 
 pub mod comparator;
-pub mod encoding;
 pub mod coupler;
+pub mod encoding;
 pub mod frontend;
 pub mod linecode;
 pub mod modulation;

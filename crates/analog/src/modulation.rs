@@ -56,7 +56,11 @@ impl ModulationWave {
         match *self {
             ModulationWave::Dc { level } => level,
             ModulationWave::Triangle { center, amplitude } => {
-                let tri = if p < 0.5 { 4.0 * p - 1.0 } else { 3.0 - 4.0 * p };
+                let tri = if p < 0.5 {
+                    4.0 * p - 1.0
+                } else {
+                    3.0 - 4.0 * p
+                };
                 center + amplitude * tri
             }
             ModulationWave::RcTriangle {

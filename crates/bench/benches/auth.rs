@@ -64,7 +64,9 @@ fn bench_eprom_codec(c: &mut Criterion) {
 /// authentication trial batch).
 fn bench_roc_sweep(c: &mut Criterion) {
     let mut rng = DivotRng::seed_from_u64(5);
-    let genuine: Vec<f64> = (0..4096).map(|_| (0.98 + rng.normal(0.0, 0.01)).min(1.0)).collect();
+    let genuine: Vec<f64> = (0..4096)
+        .map(|_| (0.98 + rng.normal(0.0, 0.01)).min(1.0))
+        .collect();
     let impostor: Vec<f64> = (0..4096).map(|_| 0.55 + rng.normal(0.0, 0.08)).collect();
     let mut group = c.benchmark_group("auth/roc");
     group.bench_function("from_scores_8192", |bch| {

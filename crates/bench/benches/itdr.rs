@@ -41,7 +41,9 @@ fn bench_enroll(c: &mut Criterion) {
     let _ = itdr.measure(&mut ch);
     let mut group = c.benchmark_group("itdr/enroll");
     group.sample_size(10);
-    group.bench_function("enroll_x8", |b| b.iter(|| black_box(itdr.enroll(&mut ch, 8))));
+    group.bench_function("enroll_x8", |b| {
+        b.iter(|| black_box(itdr.enroll(&mut ch, 8)))
+    });
     group.finish();
 }
 
@@ -58,7 +60,9 @@ fn bench_enroll_paper(c: &mut Criterion) {
     let _ = itdr.measure(&mut ch);
     let mut group = c.benchmark_group("itdr/enroll_paper");
     group.sample_size(10);
-    group.bench_function("x8_cached", |b| b.iter(|| black_box(itdr.enroll(&mut ch, 8))));
+    group.bench_function("x8_cached", |b| {
+        b.iter(|| black_box(itdr.enroll(&mut ch, 8)))
+    });
     group.bench_function("x8_resimulated", |b| {
         b.iter(|| {
             for _ in 0..8 {

@@ -159,7 +159,11 @@ fn bench_tapped_response(c: &mut Criterion) {
     };
     let sim = SimConfig::default();
     let mut group = c.benchmark_group("scatter/taps");
-    for (name, net) in [("clean", &clean), ("one_tap", &tapped), ("two_taps", &two_taps)] {
+    for (name, net) in [
+        ("clean", &clean),
+        ("one_tap", &tapped),
+        ("two_taps", &two_taps),
+    ] {
         group.bench_function(name, |b| b.iter(|| black_box(net.edge_response(&sim))));
     }
     group.finish();

@@ -135,8 +135,7 @@ fn main() {
     println!("vernier_den | levels | genuine_mean | d_prime | eer_pct");
     for (num, den, off) in [(2u64, 5u64, 10u64), (4, 11, 22), (8, 21, 42), (16, 43, 86)] {
         let mut bench = Bench::paper_prototype(2020).with_acq_mode(acq_mode);
-        bench.frontend.vernier =
-            divot_analog::modulation::VernierSchedule::new(num, den, 1, off);
+        bench.frontend.vernier = divot_analog::modulation::VernierSchedule::new(num, den, 1, off);
         // Repetitions must stay a multiple of the Vernier period.
         bench.itdr.repetitions = (den as u32) * (42 / den as u32).max(1);
         let (g, d, eer) = separation(&bench, n);

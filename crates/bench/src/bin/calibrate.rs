@@ -39,9 +39,24 @@ fn main() {
     let resp = ch.response_now();
     let win = resp.window(0.0, 3.8e-9);
     let detector: Vec<f64> = win.samples().iter().map(|v| v * gain).collect();
-    print_metric("detector_rms_v", format!("{:.6e}", Summary::of(&detector).std_dev));
-    print_metric("detector_min_v", format!("{:.6e}", detector.iter().cloned().fold(f64::INFINITY, f64::min)));
-    print_metric("detector_max_v", format!("{:.6e}", detector.iter().cloned().fold(f64::NEG_INFINITY, f64::max)));
+    print_metric(
+        "detector_rms_v",
+        format!("{:.6e}", Summary::of(&detector).std_dev),
+    );
+    print_metric(
+        "detector_min_v",
+        format!(
+            "{:.6e}",
+            detector.iter().cloned().fold(f64::INFINITY, f64::min)
+        ),
+    );
+    print_metric(
+        "detector_max_v",
+        format!(
+            "{:.6e}",
+            detector.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+        ),
+    );
 
     banner("true-response (noise-free) impostor similarity");
     let mut truths = Vec::new();

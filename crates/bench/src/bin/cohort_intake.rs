@@ -335,7 +335,11 @@ fn main() -> std::process::ExitCode {
 
     // Determinism: replaying the exact scan must reproduce every score
     // bit (same model, same nonces — scheduling cannot leak in).
-    let replay = scan(&client, &scenario, SCAN_NONCE_BASE + last.cohort_size as u64);
+    let replay = scan(
+        &client,
+        &scenario,
+        SCAN_NONCE_BASE + last.cohort_size as u64,
+    );
     let bitwise = replay.len() == last.reports.len()
         && replay
             .iter()
@@ -349,10 +353,7 @@ fn main() -> std::process::ExitCode {
     if quick {
         let (_, roc) = rocs.last().expect("sweeps ran");
         print_claim("quick_auc_above_0p80", roc.auc() >= 0.80);
-        print_claim(
-            "quick_scan_under_4ms_per_board",
-            last.per_board_ms() <= 4.0,
-        );
+        print_claim("quick_scan_under_4ms_per_board", last.per_board_ms() <= 4.0);
     } else {
         for (size, roc) in &rocs {
             if *size >= 256 {
@@ -369,8 +370,8 @@ fn main() -> std::process::ExitCode {
         );
 
         let json = render_json(&scenario, &sweeps, &rocs, &class_aucs);
-        let path = std::env::var("DIVOT_COHORT_JSON")
-            .unwrap_or_else(|_| "BENCH_cohort.json".to_owned());
+        let path =
+            std::env::var("DIVOT_COHORT_JSON").unwrap_or_else(|_| "BENCH_cohort.json".to_owned());
         match std::fs::write(&path, &json) {
             Ok(()) => print_metric("json_written", &path),
             Err(e) => {

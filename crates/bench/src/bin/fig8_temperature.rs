@@ -10,7 +10,7 @@
 //! (set `DIVOT_MEASUREMENTS` to change the per-line measurement count).
 
 use divot_bench::{
-    banner, Bench, BenchCli, collect_scores_sampled, print_claim, print_histogram, print_metric,
+    banner, collect_scores_sampled, print_claim, print_histogram, print_metric, Bench, BenchCli,
 };
 use divot_dsp::stats::Summary;
 use divot_dsp::RocCurve;
@@ -37,11 +37,18 @@ fn main() -> std::process::ExitCode {
     banner("oven swing 23C -> 75C");
     let mut oven = Bench::paper_prototype(2020).with_acq_mode(acq_mode);
     oven.environment = Environment::oven_swing();
-    let oven_scores = collect_scores_sampled(&oven.measure_all_spaced(measurements, gap), 4 * measurements, 7);
+    let oven_scores = collect_scores_sampled(
+        &oven.measure_all_spaced(measurements, gap),
+        4 * measurements,
+        7,
+    );
     let oven_roc = RocCurve::from_scores(&oven_scores.genuine, &oven_scores.impostor);
     print_metric("swing_genuine", Summary::of(&oven_scores.genuine));
     print_metric("swing_impostor", Summary::of(&oven_scores.impostor));
-    print_metric("swing_eer_percent", format!("{:.4}", oven_roc.eer() * 100.0));
+    print_metric(
+        "swing_eer_percent",
+        format!("{:.4}", oven_roc.eer() * 100.0),
+    );
 
     banner("Fig 8: genuine distributions (room vs swing)");
     print_histogram("genuine_room", &room_scores.genuine, 0.6, 1.0, 80);
@@ -56,9 +63,9 @@ fn main() -> std::process::ExitCode {
     let itdr = bench.itdr();
     let fp = itdr.enroll(&mut ch, 16);
     ch.set_environment(divot_txline::env::Environment {
-        temperature: divot_txline::env::TemperatureProfile::Constant(
-            divot_txline::units::Celsius(75.0),
-        ),
+        temperature: divot_txline::env::TemperatureProfile::Constant(divot_txline::units::Celsius(
+            75.0,
+        )),
         ..divot_txline::env::Environment::room()
     });
     let mut raw_scores = Vec::new();
@@ -77,14 +84,24 @@ fn main() -> std::process::ExitCode {
         "estimated_stretch_ppm",
         format!("{:.0}", Summary::of(&stretches).mean * 1e6),
     );
-    print_claim("compensation_recovers_similarity", Summary::of(&comp_scores).mean >= Summary::of(&raw_scores).mean);
+    print_claim(
+        "compensation_recovers_similarity",
+        Summary::of(&comp_scores).mean >= Summary::of(&raw_scores).mean,
+    );
 
     banner("paper-shape checks");
     let room_mean = Summary::of(&room_scores.genuine).mean;
     let swing_mean = Summary::of(&oven_scores.genuine).mean;
     print_claim("genuine_shifts_left", swing_mean < room_mean);
-    print_claim("eer_rises_but_stays_small", oven_roc.eer() >= room_roc.eer() && oven_roc.eer() < 0.02);
-    print_claim("impostor_barely_moves", (Summary::of(&oven_scores.impostor).mean - Summary::of(&room_scores.impostor).mean) .abs() < 0.1);
+    print_claim(
+        "eer_rises_but_stays_small",
+        oven_roc.eer() >= room_roc.eer() && oven_roc.eer() < 0.02,
+    );
+    print_claim(
+        "impostor_barely_moves",
+        (Summary::of(&oven_scores.impostor).mean - Summary::of(&room_scores.impostor).mean).abs()
+            < 0.1,
+    );
 
     cli.finish()
 }

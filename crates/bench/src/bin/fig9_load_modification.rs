@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p divot-bench --bin fig9_load_modification`
 
 use divot_bench::{
-    banner, Bench, BenchCli, print_claim, print_metric, print_waveform, run_tamper_experiment,
+    banner, print_claim, print_metric, print_waveform, run_tamper_experiment, Bench, BenchCli,
 };
 use divot_txline::attack::Attack;
 
@@ -30,7 +30,10 @@ fn main() -> std::process::ExitCode {
     print_waveform("exy_attack", &exp.attack_report.error, 120);
 
     banner("detection");
-    print_metric("threshold", format!("{:.3e}", exp.detector.policy().threshold));
+    print_metric(
+        "threshold",
+        format!("{:.3e}", exp.detector.policy().threshold),
+    );
     print_metric("clean_detected", exp.clean_report.detected);
     print_metric("attack_detected", exp.attack_report.detected);
     print_metric(

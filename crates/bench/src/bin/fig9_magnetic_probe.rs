@@ -10,7 +10,7 @@
 //! Run: `cargo run --release -p divot-bench --bin fig9_magnetic_probe`
 
 use divot_bench::{
-    banner, Bench, BenchCli, print_claim, print_metric, print_waveform, run_tamper_experiment,
+    banner, print_claim, print_metric, print_waveform, run_tamper_experiment, Bench, BenchCli,
 };
 use divot_dsp::similarity::similarity;
 use divot_txline::attack::Attack;

@@ -34,8 +34,7 @@ use divot_core::itdr::AcqMode;
 use divot_fleet::wire::{decode_event, encode_request_tagged, FrameBuffer};
 use divot_fleet::{
     FleetClient, FleetConfig, FleetError, FleetService, FleetSimConfig, FleetTcpServer,
-    PipelinedFleetClient, ReactorConfig, Request, Response, ShedReason, SimulatedFleet,
-    WireEvent,
+    PipelinedFleetClient, ReactorConfig, Request, Response, ShedReason, SimulatedFleet, WireEvent,
 };
 use divot_polling::{Event as PollEvent, Poller};
 
@@ -425,9 +424,10 @@ fn drive_wire(spec: &DriveSpec) -> Result<DriveReport, String> {
                                 credited += 1;
                                 match *outcome {
                                     Ok(Response::Verdict { accepted, .. }) => {
-                                        latencies
-                                            .push(sent_at.elapsed().as_micros().min(u128::from(u64::MAX))
-                                                as u64);
+                                        latencies.push(
+                                            sent_at.elapsed().as_micros().min(u128::from(u64::MAX))
+                                                as u64,
+                                        );
                                         report.served += 1;
                                         report.accepted += u64::from(accepted);
                                     }
@@ -503,7 +503,9 @@ fn drive_wire(spec: &DriveSpec) -> Result<DriveReport, String> {
                     Ok(stream) => {
                         if stream.set_nodelay(true).is_err()
                             || stream.set_nonblocking(true).is_err()
-                            || poller.add(stream.as_raw_fd(), PollEvent::readable(c)).is_err()
+                            || poller
+                                .add(stream.as_raw_fd(), PollEvent::readable(c))
+                                .is_err()
                         {
                             failed = Some("reconnect setup".into());
                         } else {
@@ -721,7 +723,9 @@ fn scaling_phase(cores: usize) -> Vec<(String, f64)> {
 fn overload_phase() -> Vec<(String, f64)> {
     banner("overload (1 worker, queue capacity 4, 48-request burst)");
     let svc = FleetService::start(
-        FleetConfig::default().with_workers(1).with_queue_capacity(4),
+        FleetConfig::default()
+            .with_workers(1)
+            .with_queue_capacity(4),
         SimulatedFleet::new(FleetSimConfig::fast(2, SEED).with_acq_mode(AcqMode::Trial)),
     );
     let client = svc.client();
@@ -731,17 +735,19 @@ fn overload_phase() -> Vec<(String, f64)> {
     std::thread::scope(|scope| {
         for k in 0..48u64 {
             let (sheds, served, client) = (&sheds, &served, client.clone());
-            scope.spawn(move || match client.call(Request::Verify {
-                device: SimulatedFleet::device_name(0),
-                nonce: 70_000 + k,
-            }) {
-                Ok(Response::Verdict { .. }) => {
-                    served.fetch_add(1, Ordering::Relaxed);
+            scope.spawn(move || {
+                match client.call(Request::Verify {
+                    device: SimulatedFleet::device_name(0),
+                    nonce: 70_000 + k,
+                }) {
+                    Ok(Response::Verdict { .. }) => {
+                        served.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(FleetError::Overloaded { .. }) => {
+                        sheds.fetch_add(1, Ordering::Relaxed);
+                    }
+                    other => panic!("unexpected {other:?}"),
                 }
-                Err(FleetError::Overloaded { .. }) => {
-                    sheds.fetch_add(1, Ordering::Relaxed);
-                }
-                other => panic!("unexpected {other:?}"),
             });
         }
     });
@@ -766,8 +772,8 @@ fn wire_scaling_phases() -> Vec<(String, f64)> {
     print_metric("buses", WIRE_BUSES);
     print_metric("warm_pairs", WIRE_WARM_SPAN);
 
-    let spec = |addr: String, conns: usize, pipeline: usize, per_conn: usize, churn: usize| {
-        DriveSpec {
+    let spec =
+        |addr: String, conns: usize, pipeline: usize, per_conn: usize, churn: usize| DriveSpec {
             addr,
             conns,
             pipeline,
@@ -776,8 +782,7 @@ fn wire_scaling_phases() -> Vec<(String, f64)> {
             warm_span: WIRE_WARM_SPAN,
             nonce_base: WIRE_NONCE_BASE,
             churn_every: churn,
-        }
-    };
+        };
 
     // 1024 connections, pipeline 32 — the regime the reactor exists
     // for: deep pipelining amortizes the per-wakeup poll cost across
@@ -791,7 +796,13 @@ fn wire_scaling_phases() -> Vec<(String, f64)> {
     ));
     let reactor_rps = {
         let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind reactor");
-        let s = spec(server.local_addr().to_string(), VS_CONNS, VS_PIPELINE, VS_PER_CONN, 0);
+        let s = spec(
+            server.local_addr().to_string(),
+            VS_CONNS,
+            VS_PIPELINE,
+            VS_PER_CONN,
+            0,
+        );
         let report = (0..REPEATS)
             .map(|_| drive_wire(&s).expect("reactor drive"))
             .max_by(|a, b| a.rps().total_cmp(&b.rps()))
@@ -810,7 +821,10 @@ fn wire_scaling_phases() -> Vec<(String, f64)> {
         print_metric("requests", s.conns * s.per_conn);
         let report = run_child_driver(&s).expect("10k drive");
         report_drive(&report, s.conns * s.per_conn);
-        print_claim("ten_k_connections_served", report.served == (s.conns * s.per_conn) as u64);
+        print_claim(
+            "ten_k_connections_served",
+            report.served == (s.conns * s.per_conn) as u64,
+        );
         print_claim("ten_k_p99_under_2s", report.p99_us < 2_000_000);
         metrics.extend([
             ("fleet/wire/reactor_conns".into(), s.conns as f64),
@@ -837,7 +851,10 @@ fn wire_scaling_phases() -> Vec<(String, f64)> {
         print_claim("churn_p99_under_2s", report.p99_us < 2_000_000);
         metrics.extend([
             ("fleet/wire/churn_conns".into(), s.conns as f64),
-            ("fleet/wire/churn_reconnects".into(), report.reconnects as f64),
+            (
+                "fleet/wire/churn_reconnects".into(),
+                report.reconnects as f64,
+            ),
             ("fleet/wire/churn_p99_ms".into(), report.p99_us as f64 / 1e3),
             ("fleet/wire/churn_rps".into(), report.rps()),
         ]);
@@ -879,7 +896,10 @@ fn wire_fairness_phase() -> Vec<(String, f64)> {
     let greedy_n = (patience.as_secs_f64() * 4.0 / per_req.as_secs_f64().max(1e-6))
         .ceil()
         .clamp(64.0, 4096.0) as usize;
-    print_metric("probe_per_request_ms", format!("{:.2}", per_req.as_secs_f64() * 1e3));
+    print_metric(
+        "probe_per_request_ms",
+        format!("{:.2}", per_req.as_secs_f64() * 1e3),
+    );
     print_metric("greedy_requests", greedy_n);
 
     let server = FleetTcpServer::spawn_reactor(
@@ -976,8 +996,14 @@ fn wire_fairness_phase() -> Vec<(String, f64)> {
         let worst = worst.into_inner().expect("lock");
         print_metric("modest_served", modest_served);
         print_metric("modest_sheds", modest_sheds);
-        print_metric("modest_worst_latency_ms", format!("{:.1}", worst.as_secs_f64() * 1e3));
-        print_claim("modest_conns_not_starved", modest_served == 28 && modest_sheds == 0);
+        print_metric(
+            "modest_worst_latency_ms",
+            format!("{:.1}", worst.as_secs_f64() * 1e3),
+        );
+        print_claim(
+            "modest_conns_not_starved",
+            modest_served == 28 && modest_sheds == 0,
+        );
         greedy.join().expect("greedy thread")
     };
     print_metric("greedy_served", greedy_served);
@@ -991,7 +1017,10 @@ fn wire_fairness_phase() -> Vec<(String, f64)> {
     drop(svc);
     vec![
         ("fleet/wire/fairness_modest_served".into(), 28.0),
-        ("fleet/wire/fairness_greedy_sheds_fair".into(), greedy_fair as f64),
+        (
+            "fleet/wire/fairness_greedy_sheds_fair".into(),
+            greedy_fair as f64,
+        ),
     ]
 }
 
@@ -1018,7 +1047,10 @@ fn quick_wire_smoke() {
     };
     let report = drive_wire(&s).expect("wire smoke drive");
     report_drive(&report, s.conns * s.per_conn);
-    print_claim("wire_smoke_zero_errors", report.errors == 0 && report.sheds == 0);
+    print_claim(
+        "wire_smoke_zero_errors",
+        report.errors == 0 && report.sheds == 0,
+    );
     print_claim("wire_smoke_p99_under_500ms", report.p99_us < 500_000);
 
     banner("wire smoke (stats probe)");
@@ -1092,8 +1124,7 @@ fn main() -> std::process::ExitCode {
     metrics.extend(wire_fairness_phase());
 
     banner("results file");
-    let path =
-        std::env::var("DIVOT_FLEET_JSON").unwrap_or_else(|_| "BENCH_fleet.json".to_owned());
+    let path = std::env::var("DIVOT_FLEET_JSON").unwrap_or_else(|_| "BENCH_fleet.json".to_owned());
     match std::fs::write(&path, render_json(cores, &metrics)) {
         Ok(()) => print_metric("json_written", &path),
         Err(e) => {
@@ -1147,14 +1178,23 @@ mod tests {
     fn malformed_or_unknown_driver_fields_are_typed_errors() {
         let good = spec().encode();
         let cases = [
-            (format!("{good} churn"), ProtocolError::Malformed("churn".into())),
-            (format!("{good} threads=2"), ProtocolError::UnknownKey("threads".into())),
+            (
+                format!("{good} churn"),
+                ProtocolError::Malformed("churn".into()),
+            ),
+            (
+                format!("{good} threads=2"),
+                ProtocolError::UnknownKey("threads".into()),
+            ),
             (
                 good.replace("conns=10000", "conns=-1"),
                 ProtocolError::BadValue("conns=-1".into()),
             ),
             (
-                good.replace("nonce_base=18446744073709551608", "nonce_base=18446744073709551616"),
+                good.replace(
+                    "nonce_base=18446744073709551608",
+                    "nonce_base=18446744073709551616",
+                ),
                 ProtocolError::BadValue("nonce_base=18446744073709551616".into()),
             ),
             ("conns=4".to_owned(), ProtocolError::Incomplete),
@@ -1164,9 +1204,18 @@ mod tests {
             assert_eq!(DriveSpec::decode(&line), Err(want), "spec {line:?}");
         }
         let report = [
-            ("served=1 accepted", ProtocolError::Malformed("accepted".into())),
-            ("served=1 latency=3", ProtocolError::UnknownKey("latency".into())),
-            ("elapsed_s=fast", ProtocolError::BadValue("elapsed_s=fast".into())),
+            (
+                "served=1 accepted",
+                ProtocolError::Malformed("accepted".into()),
+            ),
+            (
+                "served=1 latency=3",
+                ProtocolError::UnknownKey("latency".into()),
+            ),
+            (
+                "elapsed_s=fast",
+                ProtocolError::BadValue("elapsed_s=fast".into()),
+            ),
             ("p99_us=1.5", ProtocolError::BadValue("p99_us=1.5".into())),
             ("=", ProtocolError::UnknownKey(String::new())),
         ];

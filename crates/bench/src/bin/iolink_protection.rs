@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release -p divot-bench --bin iolink_protection`
 
-use divot_bench::{banner, BenchCli, print_claim, print_metric};
+use divot_bench::{banner, print_claim, print_metric, BenchCli};
 use divot_core::itdr::AcqMode;
 use divot_core::monitor::MonitorConfig;
 use divot_iolink::link::LinkConfig;
@@ -37,7 +37,10 @@ fn main() -> std::process::ExitCode {
     print_metric("acq_mode", acq_mode.label());
     banner("clean link throughput (2048 frames, 256 B payloads)");
     let clean = LinkSim::new(config(acq_mode, 64, 5)).run();
-    print_metric("delivered", format!("{}/{}", clean.delivered, clean.attempted));
+    print_metric(
+        "delivered",
+        format!("{}/{}", clean.delivered, clean.attempted),
+    );
     print_metric("exposed", clean.exposed);
 
     banner("eavesdropping tap at frame 1024: exposure vs polling cadence");
@@ -86,7 +89,10 @@ fn main() -> std::process::ExitCode {
             .map(|f| f.to_string())
             .unwrap_or_else(|| "never".into()),
     );
-    print_claim("non_contact_probe_detected", stats.detection_latency_frames().is_some());
+    print_claim(
+        "non_contact_probe_detected",
+        stats.detection_latency_frames().is_some(),
+    );
 
     cli.finish()
 }

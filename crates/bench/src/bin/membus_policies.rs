@@ -15,7 +15,9 @@ fn main() {
     let acq_mode = cli.acq_mode();
     banner("policy sweep: throughput (req/kcycle) and mean latency (cycles)");
     println!("acq_mode = {}", acq_mode.label());
-    println!("workload | arbiter | page | protected_tput | protected_lat | baseline_tput | baseline_lat");
+    println!(
+        "workload | arbiter | page | protected_tput | protected_lat | baseline_tput | baseline_lat"
+    );
     for (wname, pattern) in [
         ("sequential", AccessPattern::Sequential { stride: 1 }),
         ("random", AccessPattern::Random),

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p divot-bench --bin membus_protection`
 
-use divot_bench::{banner, BenchCli, print_claim, print_metric};
+use divot_bench::{banner, print_claim, print_metric, BenchCli};
 use divot_core::itdr::{AcqMode, ItdrConfig};
 use divot_core::monitor::MonitorConfig;
 use divot_membus::protect::{ProtectionConfig, ScenarioEvent};

@@ -13,7 +13,7 @@
 //!
 //! [`Authenticator::verify_fused`]: divot_core::auth::Authenticator::verify_fused
 
-use divot_bench::{banner, Bench, BenchCli, collect_scores_sampled, print_claim, print_metric};
+use divot_bench::{banner, collect_scores_sampled, print_claim, print_metric, Bench, BenchCli};
 use divot_dsp::rng::DivotRng;
 use divot_dsp::RocCurve;
 
@@ -32,9 +32,7 @@ fn main() -> std::process::ExitCode {
     let mut rng = DivotRng::seed_from_u64(7);
     let fuse = |pool: &[f64], k: usize, n: usize, rng: &mut DivotRng| -> Vec<f64> {
         (0..n)
-            .map(|_| {
-                (0..k).map(|_| pool[rng.index(pool.len())]).sum::<f64>() / k as f64
-            })
+            .map(|_| (0..k).map(|_| pool[rng.index(pool.len())]).sum::<f64>() / k as f64)
             .collect()
     };
 

@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release -p divot-bench --bin resource_utilization`
 
-use divot_bench::{banner, BenchCli, print_claim, print_metric};
+use divot_bench::{banner, print_claim, print_metric, BenchCli};
 use divot_core::itdr::ItdrConfig;
 use divot_core::resources::{ResourceModel, XCZU7EV};
 
@@ -38,7 +38,10 @@ fn main() -> std::process::ExitCode {
         "shareable_register_fraction",
         format!("{:.1}%", model.shareable_register_fraction() * 100.0),
     );
-    print_claim("matches_paper_totals", model.registers() == 71 && model.luts() == 124);
+    print_claim(
+        "matches_paper_totals",
+        model.registers() == 71 && model.luts() == 124,
+    );
 
     banner("multi-channel scaling (shared logic instantiated once)");
     println!("channels | registers | LUTs | regs_per_channel | luts_per_channel");

@@ -84,7 +84,10 @@ impl PairwiseSimilarity {
     /// *affinity* to the cohort. Off-population boards have low affinity
     /// to everything, which is what the adaptive cluster cutoff keys on.
     pub fn affinity(&self, i: usize) -> f64 {
-        let others: Vec<f64> = (0..self.n).filter(|&j| j != i).map(|j| self.get(i, j)).collect();
+        let others: Vec<f64> = (0..self.n)
+            .filter(|&j| j != i)
+            .map(|j| self.get(i, j))
+            .collect();
         divot_dsp::stats::median(&others).unwrap_or(1.0)
     }
 }

@@ -142,7 +142,10 @@ impl std::fmt::Display for CohortError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::CohortTooSmall { got, need } => {
-                write!(f, "cohort of {got} boards is below the {need}-board minimum")
+                write!(
+                    f,
+                    "cohort of {got} boards is below the {need}-board minimum"
+                )
             }
             Self::LengthMismatch { expect, got, board } => {
                 write!(f, "board {board} has {got} segments, cohort has {expect}")
@@ -438,8 +441,8 @@ mod tests {
                 // Shader-hash noise: decorrelated across boards and
                 // segments (a plain sin(b·k) aliases badly).
                 let x = (b * 257 + s as u64 + 1) as f64;
-                let per_board = (2.0 * ((x * 12.9898).sin() * 43758.5453).fract().abs() - 1.0)
-                    * ripple;
+                let per_board =
+                    (2.0 * ((x * 12.9898).sin() * 43758.5453).fract().abs() - 1.0) * ripple;
                 shared + shift + per_board
             })
             .collect()
@@ -494,7 +497,9 @@ mod tests {
         let model = PopulationModel::learn(&views(&boards), CohortConfig::default()).unwrap();
         // A different design shape entirely: broad z elevation + low
         // similarity.
-        let foreign: Vec<f64> = (0..64).map(|s| (s as f64 * 0.8 + 2.0).cos() * 1.2).collect();
+        let foreign: Vec<f64> = (0..64)
+            .map(|s| (s as f64 * 0.8 + 2.0).cos() * 1.2)
+            .collect();
         let (verdict, score) = model.attest(&foreign);
         assert_eq!(verdict, Verdict::Counterfeit, "{score:?}");
         assert!(score.score < 0.8);

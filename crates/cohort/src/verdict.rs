@@ -146,7 +146,11 @@ impl IntakeScore {
             .enumerate()
             .filter(|&(_, z)| z > z_threshold)
             .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("z is finite").then(a.0.cmp(&b.0)));
+        out.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .expect("z is finite")
+                .then(a.0.cmp(&b.0))
+        });
         out
     }
 }

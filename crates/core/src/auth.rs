@@ -21,8 +21,12 @@ fn note_decision(decision: &AuthDecision, lanes: usize) {
         let r = t.registry();
         let accepted = decision.is_accept();
         let s = decision.similarity();
-        r.counter(if accepted { "auth.accepts" } else { "auth.rejects" })
-            .inc();
+        r.counter(if accepted {
+            "auth.accepts"
+        } else {
+            "auth.rejects"
+        })
+        .inc();
         r.histogram_with("auth.similarity", Histogram::unit_interval)
             .observe(s);
         t.emit(
@@ -91,9 +95,7 @@ impl AuthDecision {
     /// The similarity score behind the decision.
     pub fn similarity(&self) -> f64 {
         match *self {
-            AuthDecision::Accept { similarity } | AuthDecision::Reject { similarity } => {
-                similarity
-            }
+            AuthDecision::Accept { similarity } | AuthDecision::Reject { similarity } => similarity,
         }
     }
 }
@@ -147,11 +149,7 @@ impl Authenticator {
     /// Panics if `lanes` is empty.
     pub fn verify_fused(&self, lanes: &[(&Fingerprint, &Waveform)]) -> AuthDecision {
         assert!(!lanes.is_empty(), "fusion requires at least one lane");
-        let s = lanes
-            .iter()
-            .map(|(fp, wf)| self.score(fp, wf))
-            .sum::<f64>()
-            / lanes.len() as f64;
+        let s = lanes.iter().map(|(fp, wf)| self.score(fp, wf)).sum::<f64>() / lanes.len() as f64;
         let decision = if s >= self.policy.threshold {
             AuthDecision::Accept { similarity: s }
         } else {
@@ -187,12 +185,9 @@ pub fn compensated_score(
     );
     let reference = fingerprint.iip();
     let score_at = |stretch: f64| {
-        let rescaled = Waveform::from_fn(
-            measured.t0(),
-            measured.dt(),
-            measured.len(),
-            |t| measured.sample_at(t * (1.0 + stretch)),
-        );
+        let rescaled = Waveform::from_fn(measured.t0(), measured.dt(), measured.len(), |t| {
+            measured.sample_at(t * (1.0 + stretch))
+        });
         similarity(reference, &rescaled)
     };
     // Golden-section search on [-max_stretch, +max_stretch].
@@ -290,11 +285,11 @@ mod tests {
         assert!(Authenticator::new(AuthPolicy::with_threshold(0.999_999))
             .verify(&f, &m)
             .is_accept());
-        assert!(!Authenticator::new(AuthPolicy::with_threshold(
-            (s + 1e-9).min(1.0)
-        ))
-        .verify(&f, &m)
-        .is_accept());
+        assert!(
+            !Authenticator::new(AuthPolicy::with_threshold((s + 1e-9).min(1.0)))
+                .verify(&f, &m)
+                .is_accept()
+        );
     }
 
     #[test]
@@ -361,11 +356,8 @@ mod tests {
         use divot_txline::units::Celsius;
 
         let board = Board::fabricate(&BoardConfig::paper_prototype(), 62);
-        let mut ch = crate::channel::BusChannel::new(
-            board.line(0).clone(),
-            FrontEndConfig::default(),
-            62,
-        );
+        let mut ch =
+            crate::channel::BusChannel::new(board.line(0).clone(), FrontEndConfig::default(), 62);
         let itdr = crate::itdr::Itdr::new(crate::itdr::ItdrConfig::paper());
         let fp = itdr.enroll(&mut ch, 8);
         ch.set_environment(Environment {

@@ -88,11 +88,7 @@ impl ExecPolicy {
     {
         self.note_run();
         match self {
-            ExecPolicy::Serial => items
-                .iter_mut()
-                .enumerate()
-                .map(|(i, a)| f(i, a))
-                .collect(),
+            ExecPolicy::Serial => items.iter_mut().enumerate().map(|(i, a)| f(i, a)).collect(),
             ExecPolicy::Parallel => par::par_map_mut(items, f),
         }
     }

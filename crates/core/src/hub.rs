@@ -237,8 +237,11 @@ impl DivotHub {
         );
         assert!(!self.lanes.is_empty(), "fused verify needs lanes");
         let measurements = policy.run_mut(channels, |_, ch| {
-            self.itdr
-                .measure_averaged_with(ch, self.monitor_config.average_count, ExecPolicy::Serial)
+            self.itdr.measure_averaged_with(
+                ch,
+                self.monitor_config.average_count,
+                ExecPolicy::Serial,
+            )
         });
         let pairs: Vec<_> = self
             .lanes
@@ -267,8 +270,7 @@ impl DivotHub {
     /// the shared (time-multiplexed) datapath on the given trigger source.
     pub fn sweep_time(&self, source: TriggerSource) -> f64 {
         let per_lane = source.time_for_triggers(
-            self.itdr.config().total_triggers()
-                * self.monitor_config.average_count as u64,
+            self.itdr.config().total_triggers() * self.monitor_config.average_count as u64,
         );
         per_lane * self.lanes.len() as f64
     }
@@ -359,11 +361,17 @@ mod tests {
         }
 
         let before = hub.to_string();
-        assert!(before.starts_with("DivotHub: 3 lane(s), 3 blocking"), "{before}");
+        assert!(
+            before.starts_with("DivotHub: 3 lane(s), 3 blocking"),
+            "{before}"
+        );
         assert!(before.contains("[1] lane1: Uncalibrated"), "{before}");
         hub.calibrate_all(&mut channels);
         let after = hub.to_string();
-        assert!(after.starts_with("DivotHub: 3 lane(s), 0 blocking"), "{after}");
+        assert!(
+            after.starts_with("DivotHub: 3 lane(s), 0 blocking"),
+            "{after}"
+        );
         assert!(after.contains("[2] lane2: Monitoring"), "{after}");
     }
 

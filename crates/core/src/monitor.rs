@@ -246,9 +246,7 @@ impl BusMonitor {
                 }
                 // A real tamper persists across consecutive scans at the
                 // same physical spot; a measurement fluke does not.
-                if self.tamper_streak >= self.config.fails_to_alarm
-                    && decision.is_accept()
-                {
+                if self.tamper_streak >= self.config.fails_to_alarm && decision.is_accept() {
                     self.state = MonitorState::Alarm(AlarmKind::TamperDetected);
                     events.push(MonitorEvent::AlarmRaised(AlarmKind::TamperDetected));
                     Self::note_alarm("tamper", decision.similarity());
@@ -329,7 +327,10 @@ mod tests {
         monitor.calibrate(&mut ch);
         for _ in 0..3 {
             let events = monitor.poll(&mut ch);
-            assert!(matches!(events[0], MonitorEvent::AuthOk { .. }), "{events:?}");
+            assert!(
+                matches!(events[0], MonitorEvent::AuthOk { .. }),
+                "{events:?}"
+            );
             assert!(!monitor.is_blocking());
         }
     }

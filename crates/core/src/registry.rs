@@ -45,7 +45,13 @@ impl Pairing {
         slave_channel: &mut BusChannel,
         count: usize,
     ) -> Self {
-        Self::enroll_with(itdr, master_channel, slave_channel, count, ExecPolicy::auto())
+        Self::enroll_with(
+            itdr,
+            master_channel,
+            slave_channel,
+            count,
+            ExecPolicy::auto(),
+        )
     }
 
     /// [`enroll`](Self::enroll) under an explicit execution policy: with
@@ -68,8 +74,8 @@ impl Pairing {
                 slave: itdr.enroll_with(slave_channel, count, ExecPolicy::Serial),
             },
             ExecPolicy::Parallel => std::thread::scope(|scope| {
-                let master_task = scope
-                    .spawn(|| itdr.enroll_with(master_channel, count, ExecPolicy::Serial));
+                let master_task =
+                    scope.spawn(|| itdr.enroll_with(master_channel, count, ExecPolicy::Serial));
                 let slave = itdr.enroll_with(slave_channel, count, ExecPolicy::Serial);
                 Self {
                     master: master_task.join().expect("master enrollment panicked"),
@@ -212,9 +218,8 @@ impl FingerprintRegistry {
                 .to_owned();
             let mut fps = Vec::with_capacity(2);
             for _ in 0..2 {
-                let len = u32::from_le_bytes(
-                    take(&mut offset, 4)?.try_into().expect("4 bytes"),
-                ) as usize;
+                let len =
+                    u32::from_le_bytes(take(&mut offset, 4)?.try_into().expect("4 bytes")) as usize;
                 fps.push(Fingerprint::from_eprom_bytes(take(&mut offset, len)?)?);
             }
             let slave = fps.pop().expect("two decoded");
@@ -310,7 +315,10 @@ mod tests {
         let bytes = reg.to_bank_bytes();
         let back = FingerprintRegistry::from_bank_bytes(&bytes).unwrap();
         assert_eq!(back.len(), 2);
-        assert_eq!(back.names().collect::<Vec<_>>(), reg.names().collect::<Vec<_>>());
+        assert_eq!(
+            back.names().collect::<Vec<_>>(),
+            reg.names().collect::<Vec<_>>()
+        );
         // Fingerprints survive (within their own codec's quantization —
         // these were already quantized round-trips of themselves).
         let a = reg.get("ddr0").unwrap();

@@ -138,7 +138,11 @@ impl TamperDetector {
         let mut clean_floor = f64::NAN;
         for sample in clean_samples {
             let e = detector.scan(reference, sample).max_error;
-            clean_floor = if clean_floor.is_nan() { e } else { clean_floor.max(e) };
+            clean_floor = if clean_floor.is_nan() {
+                e
+            } else {
+                clean_floor.max(e)
+            };
         }
         assert!(
             !clean_floor.is_nan(),
@@ -178,10 +182,7 @@ impl TamperDetector {
         let onset = first_crossing(&error, threshold);
         let peak = divot_dsp::similarity::dominant_peak(&error, threshold);
         let location = onset.map(|p| {
-            round_trip_time_to_distance(
-                divot_txline::units::Seconds(p.time),
-                self.policy.velocity,
-            )
+            round_trip_time_to_distance(divot_txline::units::Seconds(p.time), self.policy.velocity)
         });
         divot_telemetry::inc("tamper.scans");
         if let Some(loc) = location {
@@ -330,7 +331,10 @@ mod tests {
         let mut load = Waveform::zeros(0.0, 1e-11, 400);
         load.samples_mut()[340] = 5e-3;
         let r = det.scan(&reference, &load);
-        assert_eq!(r.classify(round_trip, &policy), Some(TamperClass::LoadChange));
+        assert_eq!(
+            r.classify(round_trip, &policy),
+            Some(TamperClass::LoadChange)
+        );
 
         // Gross mid-line error → invasive tap.
         let mut tap = Waveform::zeros(0.0, 1e-11, 400);
@@ -338,13 +342,19 @@ mod tests {
             *s = 20e-3; // E = 4e-4 ≫ 50×5e-7
         }
         let r = det.scan(&reference, &tap);
-        assert_eq!(r.classify(round_trip, &policy), Some(TamperClass::InvasiveTap));
+        assert_eq!(
+            r.classify(round_trip, &policy),
+            Some(TamperClass::InvasiveTap)
+        );
 
         // Small localized mid-line error → probe.
         let mut probe = Waveform::zeros(0.0, 1e-11, 400);
         probe.samples_mut()[200] = 1.5e-3; // E = 2.25e-6, above 5e-7, below gross
         let r = det.scan(&reference, &probe);
-        assert_eq!(r.classify(round_trip, &policy), Some(TamperClass::LocalProbe));
+        assert_eq!(
+            r.classify(round_trip, &policy),
+            Some(TamperClass::LocalProbe)
+        );
     }
 
     #[test]
@@ -354,18 +364,12 @@ mod tests {
         use divot_txline::board::{Board, BoardConfig};
 
         let board = Board::fabricate(&BoardConfig::paper_prototype(), 61);
-        let mut ch = crate::channel::BusChannel::new(
-            board.line(0).clone(),
-            FrontEndConfig::default(),
-            61,
-        );
+        let mut ch =
+            crate::channel::BusChannel::new(board.line(0).clone(), FrontEndConfig::default(), 61);
         let itdr = crate::itdr::Itdr::new(crate::itdr::ItdrConfig::paper());
         let fp = itdr.enroll(&mut ch, 16);
-        let cleans: Vec<_> = (0..4)
-            .map(|_| itdr.measure_averaged(&mut ch, 16))
-            .collect();
-        let det =
-            TamperDetector::calibrated(TamperPolicy::default(), fp.iip(), &cleans, 4.0);
+        let cleans: Vec<_> = (0..4).map(|_| itdr.measure_averaged(&mut ch, 16)).collect();
+        let det = TamperDetector::calibrated(TamperPolicy::default(), fp.iip(), &cleans, 4.0);
         let round_trip = 2.0 * board.line(0).one_way_delay().0;
         let clean_net = ch.network().clone();
 

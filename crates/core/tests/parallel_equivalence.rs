@@ -18,11 +18,7 @@ fn channel(seed: u64) -> BusChannel {
 fn assert_bitwise_eq(a: &divot_dsp::waveform::Waveform, b: &divot_dsp::waveform::Waveform) {
     assert_eq!(a.len(), b.len(), "lengths differ");
     for (i, (x, y)) in a.samples().iter().zip(b.samples()).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "sample {i} differs: {x} vs {y}"
-        );
+        assert_eq!(x.to_bits(), y.to_bits(), "sample {i} differs: {x} vs {y}");
     }
 }
 
@@ -134,8 +130,7 @@ fn telemetry_on_vs_off_is_bitwise_identical() {
     let base_eer_analytic = eer(AcqMode::Analytic);
 
     let sink = divot_telemetry::EventSink::to_writer(Box::new(std::io::sink()));
-    divot_telemetry::install(divot_telemetry::Telemetry::with_sink(sink))
-        .expect("first install");
+    divot_telemetry::install(divot_telemetry::Telemetry::with_sink(sink)).expect("first install");
 
     let on_trial = fingerprint(AcqMode::Trial);
     let on_analytic = fingerprint(AcqMode::Analytic);

@@ -96,14 +96,18 @@ impl Bencher {
             fmt_ns(mean),
             self.samples_ns.len()
         );
-        store().lock().expect("bench store poisoned").benchmarks.push((
-            name.to_string(),
-            BenchResult {
-                median_ns: median,
-                mean_ns: mean,
-                samples: self.samples_ns.len(),
-            },
-        ));
+        store()
+            .lock()
+            .expect("bench store poisoned")
+            .benchmarks
+            .push((
+                name.to_string(),
+                BenchResult {
+                    median_ns: median,
+                    mean_ns: mean,
+                    samples: self.samples_ns.len(),
+                },
+            ));
     }
 }
 

@@ -53,13 +53,13 @@ pub mod filter;
 pub mod gaussian;
 pub mod par;
 pub mod quadrature;
-pub mod roc;
 pub mod rng;
+pub mod roc;
 pub mod similarity;
 pub mod stats;
 pub mod waveform;
 
-pub use roc::{auc, RocCurve, RocPoint};
 pub use rng::{DivotRng, OrnsteinUhlenbeck};
+pub use roc::{auc, RocCurve, RocPoint};
 pub use stats::{Histogram, Summary};
 pub use waveform::Waveform;

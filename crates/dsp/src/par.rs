@@ -125,11 +125,7 @@ where
     let n = items.len();
     let workers = max_threads().min(n.max(1));
     if workers <= 1 {
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, a)| f(i, a))
-            .collect();
+        return items.iter_mut().enumerate().map(|(i, a)| f(i, a)).collect();
     }
     note_fanout(n, workers);
     let chunk = n.div_ceil(workers);

@@ -50,8 +50,10 @@ impl GaussHermite {
         let mut z = 0.0f64;
         for i in 0..m {
             z = match i {
-                0 => (2.0 * n as f64 + 1.0).sqrt()
-                    - 1.85575 * (2.0 * n as f64 + 1.0).powf(-1.0 / 6.0),
+                0 => {
+                    (2.0 * n as f64 + 1.0).sqrt()
+                        - 1.85575 * (2.0 * n as f64 + 1.0).powf(-1.0 / 6.0)
+                }
                 1 => z - 1.14 * (n as f64).powf(0.426) / z,
                 2 => 1.86 * z - 0.86 * nodes[n - 1],
                 3 => 1.91 * z - 0.91 * nodes[n - 2],
@@ -171,7 +173,10 @@ mod tests {
         ];
         for (k, w) in want.iter().enumerate() {
             let got = q.expect_normal(mu, sigma, |t| t.powi(k as i32));
-            assert!((got - w).abs() < 1e-10 * (1.0 + w.abs()), "k={k}: {got} vs {w}");
+            assert!(
+                (got - w).abs() < 1e-10 * (1.0 + w.abs()),
+                "k={k}: {got} vs {w}"
+            );
         }
     }
 
@@ -180,9 +185,11 @@ mod tests {
         // E[Φ(a + bT)] = Φ((a + bμ)/√(1 + b²σ²)) for T ~ N(μ, σ²) — the
         // exact closed form for a linear signal under Gaussian jitter.
         let q = GaussHermite::new(15);
-        for &(a, b, mu, sigma) in
-            &[(0.3, 1.0, 0.0, 0.5), (-0.2, 2.0, 0.1, 0.25), (1.0, -0.7, -0.3, 0.8)]
-        {
+        for &(a, b, mu, sigma) in &[
+            (0.3, 1.0, 0.0, 0.5),
+            (-0.2, 2.0, 0.1, 0.25),
+            (1.0, -0.7, -0.3, 0.8),
+        ] {
             let got: f64 = q.expect_normal(mu, sigma, |t| std_cdf(a + b * t));
             let want = std_cdf((a + b * mu) / (1.0f64 + b * b * sigma * sigma).sqrt());
             assert!((got - want).abs() < 1e-6, "got {got} want {want}");

@@ -17,8 +17,7 @@ use rand::{Rng, SeedableRng};
 /// assert_ne!(a, b);
 /// ```
 pub fn mix_seed(seed: u64, stream: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1)));
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1)));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -694,8 +693,8 @@ mod tests {
         for k in [10u64, 25, 100, 1000] {
             let lnfact: f64 = (1..=k).map(|j| (j as f64).ln()).sum();
             let kf = k as f64;
-            let stirling = (kf + 0.5) * (kf + 1.0).ln() - (kf + 1.0)
-                + 0.5 * (2.0 * std::f64::consts::PI).ln();
+            let stirling =
+                (kf + 0.5) * (kf + 1.0).ln() - (kf + 1.0) + 0.5 * (2.0 * std::f64::consts::PI).ln();
             let want = lnfact - stirling;
             let got = super::stirling_tail(kf);
             assert!((got - want).abs() < 1e-9, "k={k}: {got} vs {want}");

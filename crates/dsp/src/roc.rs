@@ -173,7 +173,11 @@ fn eer_from_sorted(g: &[f64], i: &[f64], points: &[RocPoint]) -> (f64, f64) {
                 // Crossing between pp and p; interpolate.
                 let pfnr = 1.0 - pp.tpr;
                 let denom = pdiff - diff;
-                let f = if denom.abs() < 1e-300 { 0.5 } else { pdiff / denom };
+                let f = if denom.abs() < 1e-300 {
+                    0.5
+                } else {
+                    pdiff / denom
+                };
                 let eer_fpr = pp.fpr + (p.fpr - pp.fpr) * f;
                 let eer_fnr = pfnr + (fnr - pfnr) * f;
                 let thr = pp.threshold + (p.threshold - pp.threshold) * f;
@@ -298,8 +302,14 @@ mod tests {
         for p in roc.points() {
             assert!(p.fpr.is_finite() && p.tpr.is_finite());
         }
-        assert_eq!(roc.points().first().map(|p| (p.fpr, p.tpr)), Some((1.0, 1.0)));
-        assert_eq!(roc.points().last().map(|p| (p.fpr, p.tpr)), Some((0.0, 0.0)));
+        assert_eq!(
+            roc.points().first().map(|p| (p.fpr, p.tpr)),
+            Some((1.0, 1.0))
+        );
+        assert_eq!(
+            roc.points().last().map(|p| (p.fpr, p.tpr)),
+            Some((0.0, 0.0))
+        );
         assert!((auc(&tied, &tied) - 0.5).abs() < 1e-12);
     }
 

@@ -429,7 +429,10 @@ mod tests {
         let mut rng = DivotRng::seed_from_u64(7);
         let xs: Vec<f64> = (0..20_000).map(|_| rng.normal(0.0, 2.5)).collect();
         let robust_sigma = median_abs_deviation(&xs).unwrap() * MAD_TO_SIGMA;
-        assert!((robust_sigma - 2.5).abs() < 0.1, "robust_sigma={robust_sigma}");
+        assert!(
+            (robust_sigma - 2.5).abs() < 0.1,
+            "robust_sigma={robust_sigma}"
+        );
     }
 
     #[test]

@@ -39,9 +39,7 @@ impl ShedReason {
         match code {
             0 => Ok(Self::QueueFull),
             1 => Ok(Self::FairShare),
-            other => Err(FleetError::Protocol(format!(
-                "unknown shed reason {other}"
-            ))),
+            other => Err(FleetError::Protocol(format!("unknown shed reason {other}"))),
         }
     }
 }
@@ -136,7 +134,10 @@ impl fmt::Display for FleetError {
             Self::Protocol(msg) => write!(f, "protocol error: {msg}"),
             Self::Io(msg) => write!(f, "i/o error: {msg}"),
             Self::NoCohortModel => {
-                write!(f, "no population model learned yet (run a cohort enroll first)")
+                write!(
+                    f,
+                    "no population model learned yet (run a cohort enroll first)"
+                )
             }
             Self::CohortRejected(msg) => write!(f, "cohort rejected: {msg}"),
         }

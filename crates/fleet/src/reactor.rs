@@ -410,7 +410,11 @@ impl Reactor {
                     let _ = stream.set_nodelay(true);
                     let key = self.next_key;
                     self.next_key += 1;
-                    if self.poller.add(stream.as_raw_fd(), Event::readable(key)).is_err() {
+                    if self
+                        .poller
+                        .add(stream.as_raw_fd(), Event::readable(key))
+                        .is_err()
+                    {
                         divot_telemetry::inc("fleet.reactor.accept_errors");
                         continue;
                     }
@@ -991,7 +995,10 @@ impl Reactor {
                 },
             );
             let deadline = self.client.default_deadline();
-            match self.client.submit_tagged(request, deadline, token, &self.cq) {
+            match self
+                .client
+                .submit_tagged(request, deadline, token, &self.cq)
+            {
                 Ok(()) => {
                     if let Some(sub) = self.subs.get_mut(&(key, id)) {
                         sub.inflight = true;

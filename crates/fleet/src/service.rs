@@ -287,10 +287,7 @@ impl FleetStats {
 
     /// The value of gauge `name`, if present.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
+        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 }
 
@@ -414,7 +411,9 @@ pub struct CompletionQueue {
 impl std::fmt::Debug for CompletionQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let n = self.done.lock().map(|d| d.len()).unwrap_or(0);
-        f.debug_struct("CompletionQueue").field("ready", &n).finish()
+        f.debug_struct("CompletionQueue")
+            .field("ready", &n)
+            .finish()
     }
 }
 
@@ -564,10 +563,7 @@ impl ServiceInner {
     /// admitted or shed independently (the first shed does not poison
     /// the rest — later jobs still fail `QueueFull`, but the outcome
     /// vector is per-job). Workers are woken once per admitted batch.
-    fn submit_batch(
-        &self,
-        jobs: Vec<(Request, Instant, Reply)>,
-    ) -> Vec<Result<(), FleetError>> {
+    fn submit_batch(&self, jobs: Vec<(Request, Instant, Reply)>) -> Vec<Result<(), FleetError>> {
         let mut outcomes = Vec::with_capacity(jobs.len());
         let mut admitted = 0usize;
         {
@@ -618,10 +614,7 @@ impl ServiceInner {
                     if q.closed {
                         break None;
                     }
-                    q = self
-                        .not_empty
-                        .wait(q)
-                        .expect("queue lock poisoned");
+                    q = self.not_empty.wait(q).expect("queue lock poisoned");
                 }
             };
             let Some(job) = job else { return };
@@ -1414,10 +1407,7 @@ mod tests {
             base_backoff: Duration::from_micros(10),
             jitter: 0.5,
         };
-        let svc = FleetService::start(
-            config,
-            SimulatedFleet::new(FleetSimConfig::fast(1, 7)),
-        );
+        let svc = FleetService::start(config, SimulatedFleet::new(FleetSimConfig::fast(1, 7)));
         let client = svc.client();
         client
             .call(Request::Enroll {
@@ -1441,10 +1431,7 @@ mod tests {
             base_backoff: Duration::from_micros(10),
             jitter: 0.5,
         };
-        let svc = FleetService::start(
-            config,
-            SimulatedFleet::new(FleetSimConfig::fast(1, 7)),
-        );
+        let svc = FleetService::start(config, SimulatedFleet::new(FleetSimConfig::fast(1, 7)));
         let client = svc.client();
         client
             .call(Request::Enroll {
@@ -1467,7 +1454,10 @@ mod tests {
     #[test]
     fn same_length_device_names_back_off_apart() {
         let svc = service(3, 1);
-        let (a, b) = (SimulatedFleet::device_name(1), SimulatedFleet::device_name(2));
+        let (a, b) = (
+            SimulatedFleet::device_name(1),
+            SimulatedFleet::device_name(2),
+        );
         assert_eq!(a.len(), b.len());
         for attempt in 0..3 {
             let wait = |device: &str| svc.inner.backoff(device, 5, attempt);
@@ -1496,7 +1486,10 @@ mod tests {
             device: "bus-001".into(),
             nonce: 78,
         };
-        let first = (client.call(verify.clone()).unwrap(), client.call(scan.clone()).unwrap());
+        let first = (
+            client.call(verify.clone()).unwrap(),
+            client.call(scan.clone()).unwrap(),
+        );
         assert!(svc.inner.verdicts.len() >= 2, "verdicts memoized");
         for _ in 0..3 {
             assert_eq!(client.call(verify.clone()).unwrap(), first.0);
@@ -1822,7 +1815,11 @@ mod tests {
             tap.score
         );
         let worst_genuine = genuine_scores.iter().copied().fold(f64::INFINITY, f64::min);
-        assert!(tap.score < worst_genuine, "{} vs {worst_genuine}", tap.score);
+        assert!(
+            tap.score < worst_genuine,
+            "{} vs {worst_genuine}",
+            tap.score
+        );
         // A drifted-lot counterfeit overlaps the genuine spread at this
         // cohort size (18 boards), so assert score ordering, not class:
         // it must still rank below the typical genuine board.
@@ -1858,9 +1855,7 @@ mod tests {
             let mut split = Vec::new();
             for row in cohort_rows(0..20, 400) {
                 match client
-                    .call(Request::IntakeScan {
-                        devices: vec![row],
-                    })
+                    .call(Request::IntakeScan { devices: vec![row] })
                     .unwrap()
                 {
                     Response::Intake { reports } => split.extend(reports),

@@ -182,10 +182,7 @@ impl FleetStore {
         fs::create_dir_all(dir)?;
         let mut bytes = 0;
         for (i, shard) in self.shards.iter().enumerate() {
-            let image = shard
-                .read()
-                .expect("shard lock poisoned")
-                .to_bank_bytes();
+            let image = shard.read().expect("shard lock poisoned").to_bank_bytes();
             let finalp = dir.join(format!("shard-{i:03}.bank"));
             let tmp = dir.join(format!("shard-{i:03}.bank.tmp"));
             {
@@ -220,9 +217,8 @@ impl FleetStore {
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
                 Err(e) => return Err(e.into()),
             };
-            let reg = FingerprintRegistry::from_bank_bytes(&image).map_err(|e| {
-                FleetError::Protocol(format!("{}: {e}", path.display()))
-            })?;
+            let reg = FingerprintRegistry::from_bank_bytes(&image)
+                .map_err(|e| FleetError::Protocol(format!("{}: {e}", path.display())))?;
             *store.shards[i].write().expect("shard lock poisoned") = reg;
         }
         Ok(store)
@@ -253,10 +249,7 @@ mod tests {
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
         static SERIAL: AtomicU32 = AtomicU32::new(0);
         let n = SERIAL.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "divot-fleet-{tag}-{}-{n}",
-            std::process::id()
-        ))
+        std::env::temp_dir().join(format!("divot-fleet-{tag}-{}-{n}", std::process::id()))
     }
 
     #[test]
@@ -275,7 +268,9 @@ mod tests {
         let store = FleetStore::new(3);
         assert!(store.is_empty());
         for i in 0..12 {
-            assert!(store.register(&format!("bus-{i}"), pairing(1e-3 * (i + 1) as f64)).is_none());
+            assert!(store
+                .register(&format!("bus-{i}"), pairing(1e-3 * (i + 1) as f64))
+                .is_none());
         }
         assert_eq!(store.len(), 12);
         let count = store

@@ -124,15 +124,21 @@ impl<'a> Cursor<'a> {
     }
 
     fn u16(&mut self) -> Result<u16, FleetError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
     }
 
     fn u32(&mut self) -> Result<u32, FleetError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     fn u64(&mut self) -> Result<u64, FleetError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     fn f64(&mut self) -> Result<f64, FleetError> {
@@ -348,9 +354,8 @@ fn decode_response(payload: &[u8]) -> Result<Response, FleetError> {
             for _ in 0..n {
                 let device = c.string()?;
                 let code = c.u8()?;
-                let verdict = Verdict::from_code(code).ok_or_else(|| {
-                    FleetError::Protocol(format!("unknown verdict code {code}"))
-                })?;
+                let verdict = Verdict::from_code(code)
+                    .ok_or_else(|| FleetError::Protocol(format!("unknown verdict code {code}")))?;
                 reports.push(IntakeReport {
                     device,
                     verdict,

@@ -71,20 +71,18 @@ fn run_workload_with(config: FleetConfig, sim: FleetSimConfig) -> Vec<(String, b
                     // Repeat of the identical request: must answer the
                     // same bits whether it recomputes or hits a cache.
                     assert_eq!(call_verify(), verdict, "repeat verify must be stable");
-                    let scan_bits = match client
-                        .call(Request::MonitorScan { device, nonce })
-                        .unwrap()
-                    {
-                        Response::Scan {
-                            detected,
-                            max_error,
-                            ..
-                        } => {
-                            assert!(!detected, "clean fleet must scan clean");
-                            max_error.to_bits()
-                        }
-                        other => panic!("unexpected {other:?}"),
-                    };
+                    let scan_bits =
+                        match client.call(Request::MonitorScan { device, nonce }).unwrap() {
+                            Response::Scan {
+                                detected,
+                                max_error,
+                                ..
+                            } => {
+                                assert!(!detected, "clean fleet must scan clean");
+                                max_error.to_bits()
+                            }
+                            other => panic!("unexpected {other:?}"),
+                        };
                     (verdict.0, verdict.1, verdict.2 ^ scan_bits.rotate_left(1))
                 })
             })
@@ -118,7 +116,10 @@ fn verdicts_are_bitwise_identical_cached_and_uncached() {
         sim(),
     );
     let cached = run_workload_with(FleetConfig::default().with_workers(4), sim());
-    assert_eq!(uncached, cached, "memoization must be invisible in the bits");
+    assert_eq!(
+        uncached, cached,
+        "memoization must be invisible in the bits"
+    );
 }
 
 #[test]
@@ -138,7 +139,10 @@ fn analytic_and_trial_fleets_agree_on_every_decision() {
     };
     let analytic = decisions(AcqMode::Analytic);
     let trial = decisions(AcqMode::Trial);
-    assert!(analytic.iter().all(|(_, a)| *a), "genuine fleet must verify");
+    assert!(
+        analytic.iter().all(|(_, a)| *a),
+        "genuine fleet must verify"
+    );
     assert_eq!(analytic, trial, "modes must agree on decisions");
 }
 

@@ -6,13 +6,15 @@
 
 use std::time::Duration;
 
+use divot_cohort::Verdict;
 use divot_fleet::wire::{
     decode_event, decode_wire_request, encode_request_tagged, encode_scan_frame,
     encode_stats_frame, encode_stats_subscribe, encode_sub_ack, encode_sub_end, encode_subscribe,
     encode_tagged_response, encode_unsubscribe, FrameBuffer, MAX_FRAME, WIRE_VERSION,
 };
-use divot_cohort::Verdict;
-use divot_fleet::{FleetError, FleetStats, IntakeReport, Request, Response, WireEvent, WireRequest};
+use divot_fleet::{
+    FleetError, FleetStats, IntakeReport, Request, Response, WireEvent, WireRequest,
+};
 use proptest::prelude::*;
 
 /// Length-prefix a payload the way `write_frame` does.

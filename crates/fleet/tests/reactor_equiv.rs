@@ -32,7 +32,10 @@ fn start_service(workers: usize) -> FleetService {
         min_cohort: BUSES,
         ..divot_cohort::CohortConfig::default()
     };
-    FleetService::start(config, SimulatedFleet::new(FleetSimConfig::fast(BUSES, SEED)))
+    FleetService::start(
+        config,
+        SimulatedFleet::new(FleetSimConfig::fast(BUSES, SEED)),
+    )
 }
 
 /// The pinned conversation: enrolls, verifies (one repeated — the cache

@@ -70,11 +70,22 @@ fn sixty_four_concurrent_tcp_verifies_all_accept_with_zero_sheds() {
             });
         }
     });
-    assert_eq!(sheds.load(Ordering::Relaxed), 0, "default queue must absorb 64");
-    assert_eq!(accepts.load(Ordering::Relaxed), 64, "genuine fleet must all-accept");
+    assert_eq!(
+        sheds.load(Ordering::Relaxed),
+        0,
+        "default queue must absorb 64"
+    );
+    assert_eq!(
+        accepts.load(Ordering::Relaxed),
+        64,
+        "genuine fleet must all-accept"
+    );
 
     // Registry snapshot sees every enrolled device.
-    match client.call(&Request::RegistrySnapshot, None).expect("snapshot") {
+    match client
+        .call(&Request::RegistrySnapshot, None)
+        .expect("snapshot")
+    {
         Response::Snapshot { devices } => {
             assert_eq!(devices.len(), BUSES);
             let names: Vec<&str> = devices.iter().map(|(n, _)| n.as_str()).collect();
@@ -129,7 +140,10 @@ fn tcp_errors_cross_the_wire_typed() {
             None,
         )
         .expect_err("unknown device must fail");
-    assert!(matches!(err, FleetError::UnknownDevice(ref d) if d == "bus-999"), "{err:?}");
+    assert!(
+        matches!(err, FleetError::UnknownDevice(ref d) if d == "bus-999"),
+        "{err:?}"
+    );
 
     // Hold the lone worker busy with a stream of in-process verifies,
     // then send a 1 ms deadline over the wire: it queues behind work
@@ -185,7 +199,9 @@ fn tiny_queue_sheds_under_burst_and_recovers() {
     // service must refuse (typed) rather than buffer unboundedly, and
     // every non-shed answer must still be a correct verdict.
     let svc = FleetService::start(
-        FleetConfig::default().with_workers(1).with_queue_capacity(2),
+        FleetConfig::default()
+            .with_workers(1)
+            .with_queue_capacity(2),
         SimulatedFleet::new(FleetSimConfig::fast(2, SEED)),
     );
     let client = svc.client();
@@ -201,19 +217,21 @@ fn tiny_queue_sheds_under_burst_and_recovers() {
     std::thread::scope(|scope| {
         for k in 0..64u64 {
             let (sheds, served, client) = (&sheds, &served, client.clone());
-            scope.spawn(move || match client.call(Request::Verify {
-                device: "bus-000".into(),
-                nonce: 2000 + k,
-            }) {
-                Ok(Response::Verdict { accepted, .. }) => {
-                    assert!(accepted);
-                    served.fetch_add(1, Ordering::Relaxed);
+            scope.spawn(move || {
+                match client.call(Request::Verify {
+                    device: "bus-000".into(),
+                    nonce: 2000 + k,
+                }) {
+                    Ok(Response::Verdict { accepted, .. }) => {
+                        assert!(accepted);
+                        served.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(FleetError::Overloaded { capacity, .. }) => {
+                        assert_eq!(capacity, 2);
+                        sheds.fetch_add(1, Ordering::Relaxed);
+                    }
+                    other => panic!("unexpected {other:?}"),
                 }
-                Err(FleetError::Overloaded { capacity, .. }) => {
-                    assert_eq!(capacity, 2);
-                    sheds.fetch_add(1, Ordering::Relaxed);
-                }
-                other => panic!("unexpected {other:?}"),
             });
         }
     });

@@ -113,9 +113,7 @@ impl Frame {
         if bytes.len() != 10 + len {
             return Err(DecodeFrameError::Truncated);
         }
-        let crc_stored = u16::from_le_bytes(
-            bytes[8 + len..10 + len].try_into().expect("2 bytes"),
-        );
+        let crc_stored = u16::from_le_bytes(bytes[8 + len..10 + len].try_into().expect("2 bytes"));
         if crc16(&bytes[..8 + len]) != crc_stored {
             return Err(DecodeFrameError::BadCrc);
         }

@@ -308,8 +308,7 @@ mod tests {
         link.bring_up();
         for expect_seq in 0..5u32 {
             let events = link.send(vec![expect_seq as u8; 32]).unwrap();
-            assert!(events
-                .contains(&LinkEvent::FrameDelivered { seq: expect_seq }));
+            assert!(events.contains(&LinkEvent::FrameDelivered { seq: expect_seq }));
         }
         assert_eq!(link.stats().delivered, 5);
         assert_eq!(link.stats().exposed, 0);

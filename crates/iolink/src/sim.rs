@@ -1,8 +1,8 @@
 //! Link-level simulation: traffic, attack scripting, exposure accounting.
 
-use crate::link::{LinkConfig, LinkEvent, ProtectedLink, SendError};
 #[cfg(test)]
 use crate::link::LinkState;
+use crate::link::{LinkConfig, LinkEvent, ProtectedLink, SendError};
 use divot_dsp::rng::DivotRng;
 use divot_txline::attack::Attack;
 use divot_txline::board::{Board, BoardConfig};
@@ -124,9 +124,7 @@ impl LinkSim {
         let clean = self.link.channel().network().clone();
         let mut next_event = 0;
         for frame_idx in 0..self.config.frames {
-            while next_event < self.events.len()
-                && self.events[next_event].frame() <= frame_idx
-            {
+            while next_event < self.events.len() && self.events[next_event].frame() <= frame_idx {
                 match self.events[next_event].clone() {
                     LinkScenarioEvent::Attack { attack, .. } => {
                         self.link.channel_mut().apply_attack(&attack);
@@ -144,9 +142,7 @@ impl LinkSim {
                 .collect();
             match self.link.send(payload) {
                 Ok(events) => {
-                    if events.contains(&LinkEvent::SecurityHalted)
-                        && stats.halt_frame.is_none()
-                    {
+                    if events.contains(&LinkEvent::SecurityHalted) && stats.halt_frame.is_none() {
                         stats.halt_frame = Some(frame_idx);
                     }
                 }

@@ -49,10 +49,7 @@ impl DramCommand {
 
     /// Whether this is a column access (the operation DIVOT gates).
     pub fn is_column_access(&self) -> bool {
-        matches!(
-            self,
-            DramCommand::Read { .. } | DramCommand::Write { .. }
-        )
+        matches!(self, DramCommand::Read { .. } | DramCommand::Write { .. })
     }
 }
 

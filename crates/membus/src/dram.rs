@@ -205,20 +205,18 @@ impl DramModule {
             return Err(CommandError::RefreshInProgress);
         }
         match cmd {
-            DramCommand::Activate { bank, row } => {
-                match self.bank_state(bank, now) {
-                    BankState::Idle => {
-                        self.banks[bank] = BankState::Opening {
-                            row,
-                            ready_at: now + self.timing.t_rcd,
-                            opened_at: now,
-                        };
-                        self.stats.activates += 1;
-                        Ok(None)
-                    }
-                    _ => Err(CommandError::BankBusy),
+            DramCommand::Activate { bank, row } => match self.bank_state(bank, now) {
+                BankState::Idle => {
+                    self.banks[bank] = BankState::Opening {
+                        row,
+                        ready_at: now + self.timing.t_rcd,
+                        opened_at: now,
+                    };
+                    self.stats.activates += 1;
+                    Ok(None)
                 }
-            }
+                _ => Err(CommandError::BankBusy),
+            },
             DramCommand::Precharge { bank } => match self.bank_state(bank, now) {
                 BankState::Opening { opened_at, .. } => {
                     if now < opened_at + self.timing.t_ras {
@@ -233,18 +231,12 @@ impl DramModule {
                 BankState::Closing { .. } => Err(CommandError::BankBusy),
             },
             DramCommand::Read { bank, col } => {
-                let row = self
-                    .open_row(bank, now)
-                    .ok_or(CommandError::RowMismatch)?;
+                let row = self.open_row(bank, now).ok_or(CommandError::RowMismatch)?;
                 if self.gate_blocked {
                     self.stats.blocked += 1;
                     return Err(CommandError::AccessBlocked);
                 }
-                let data = self
-                    .store
-                    .get(&(bank, row, col))
-                    .copied()
-                    .unwrap_or(0);
+                let data = self.store.get(&(bank, row, col)).copied().unwrap_or(0);
                 self.stats.reads += 1;
                 Ok(Some(ColumnAccess {
                     data,
@@ -252,9 +244,7 @@ impl DramModule {
                 }))
             }
             DramCommand::Write { bank, col, data } => {
-                let row = self
-                    .open_row(bank, now)
-                    .ok_or(CommandError::RowMismatch)?;
+                let row = self.open_row(bank, now).ok_or(CommandError::RowMismatch)?;
                 if self.gate_blocked {
                     self.stats.blocked += 1;
                     return Err(CommandError::AccessBlocked);
@@ -297,7 +287,8 @@ mod tests {
     #[test]
     fn activate_then_read_round_trip() {
         let mut m = module();
-        m.issue(DramCommand::Activate { bank: 0, row: 5 }, 0).unwrap();
+        m.issue(DramCommand::Activate { bank: 0, row: 5 }, 0)
+            .unwrap();
         // Before tRCD: column access rejected.
         assert_eq!(
             m.issue(DramCommand::Read { bank: 0, col: 3 }, 5),
@@ -324,7 +315,8 @@ mod tests {
     #[test]
     fn unwritten_cells_read_zero() {
         let mut m = module();
-        m.issue(DramCommand::Activate { bank: 1, row: 0 }, 0).unwrap();
+        m.issue(DramCommand::Activate { bank: 1, row: 0 }, 0)
+            .unwrap();
         let r = m
             .issue(DramCommand::Read { bank: 1, col: 0 }, 20)
             .unwrap()
@@ -335,7 +327,8 @@ mod tests {
     #[test]
     fn wrong_row_is_rejected() {
         let mut m = module();
-        m.issue(DramCommand::Activate { bank: 0, row: 5 }, 0).unwrap();
+        m.issue(DramCommand::Activate { bank: 0, row: 5 }, 0)
+            .unwrap();
         assert!(m.open_row(0, 11).is_some());
         // Activating again while open: busy.
         assert_eq!(
@@ -347,7 +340,8 @@ mod tests {
     #[test]
     fn precharge_respects_tras() {
         let mut m = module();
-        m.issue(DramCommand::Activate { bank: 0, row: 5 }, 0).unwrap();
+        m.issue(DramCommand::Activate { bank: 0, row: 5 }, 0)
+            .unwrap();
         assert_eq!(
             m.issue(DramCommand::Precharge { bank: 0 }, 10),
             Err(CommandError::RowOpenTooShort)
@@ -361,7 +355,8 @@ mod tests {
     #[test]
     fn refresh_requires_all_precharged_and_blocks() {
         let mut m = module();
-        m.issue(DramCommand::Activate { bank: 0, row: 1 }, 0).unwrap();
+        m.issue(DramCommand::Activate { bank: 0, row: 1 }, 0)
+            .unwrap();
         assert_eq!(
             m.issue(DramCommand::Refresh, 15),
             Err(CommandError::NotAllPrecharged)
@@ -379,7 +374,8 @@ mod tests {
     #[test]
     fn divot_gate_blocks_column_access_only() {
         let mut m = module();
-        m.issue(DramCommand::Activate { bank: 0, row: 5 }, 0).unwrap();
+        m.issue(DramCommand::Activate { bank: 0, row: 5 }, 0)
+            .unwrap();
         m.set_access_gate(true);
         // Row operations still work (the gate is at column access time,
         // §III), but data never moves.

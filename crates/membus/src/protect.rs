@@ -17,9 +17,9 @@ use divot_analog::frontend::FrontEndConfig;
 use divot_core::channel::BusChannel;
 use divot_core::itdr::{Itdr, ItdrConfig};
 use divot_core::monitor::{BusMonitor, MonitorConfig};
+use divot_telemetry::Value;
 use divot_txline::attack::Attack;
 use divot_txline::board::{Board, BoardConfig};
-use divot_telemetry::Value;
 use divot_txline::scatter::Network;
 
 /// Configuration of the DIVOT protection layer.
@@ -228,9 +228,7 @@ impl ProtectedMemorySystem {
     }
 
     fn fire_due_events(&mut self, cycle: u64) {
-        while self.next_event < self.events.len()
-            && self.events[self.next_event].cycle() <= cycle
-        {
+        while self.next_event < self.events.len() && self.events[self.next_event].cycle() <= cycle {
             let ev = self.events[self.next_event].clone();
             self.next_event += 1;
             match ev {
@@ -239,8 +237,7 @@ impl ProtectedMemorySystem {
                     self.security.attack_cycle.get_or_insert(cycle);
                 }
                 ScenarioEvent::ColdBootSwap { foreign_seed, .. } => {
-                    let foreign =
-                        Board::fabricate(&BoardConfig::paper_prototype(), foreign_seed);
+                    let foreign = Board::fabricate(&BoardConfig::paper_prototype(), foreign_seed);
                     self.channel.replace_network(foreign.line(0).network());
                     self.security.attack_cycle.get_or_insert(cycle);
                 }
@@ -381,7 +378,10 @@ mod tests {
         assert!(sys.reacting(), "wiretap must trigger the reaction");
         let latency = sys.security().detection_latency().expect("detected");
         // Detected within a few polls of the attack.
-        assert!(latency <= 4 * fast_config().poll_interval, "latency={latency}");
+        assert!(
+            latency <= 4 * fast_config().poll_interval,
+            "latency={latency}"
+        );
         // Once reacting, no further work completes.
         let before = sys.controller().stats().completed;
         drive_more(&mut sys, 20_000, 24_000);

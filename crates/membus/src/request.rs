@@ -84,9 +84,7 @@ impl AddressMap {
     /// Re-encode DRAM coordinates into an address (inverse of
     /// [`AddressMap::decode`]).
     pub fn encode(&self, d: Decoded) -> u64 {
-        (d.row << (self.col_bits + self.bank_bits))
-            | ((d.bank as u64) << self.col_bits)
-            | d.col
+        (d.row << (self.col_bits + self.bank_bits)) | ((d.bank as u64) << self.col_bits) | d.col
     }
 }
 

@@ -136,8 +136,8 @@ impl Scheduler {
     pub fn decide(&mut self, module: &DramModule, now: u64, refresh_period: u64) -> Decision {
         // 1. Refresh has priority once due.
         if self.config.refresh_enabled && now >= self.next_refresh_due {
-            let all_idle = (0..self.map.banks())
-                .all(|b| matches!(module.bank_state(b, now), BankState::Idle));
+            let all_idle =
+                (0..self.map.banks()).all(|b| matches!(module.bank_state(b, now), BankState::Idle));
             if all_idle {
                 if module.refreshing(now) {
                     return Decision::Idle;
@@ -196,14 +196,9 @@ impl Scheduler {
                         d.bank == b && d.row == open
                     });
                     if !wanted {
-                        if let BankState::Opening { opened_at, .. } =
-                            module.bank_state(b, now)
-                        {
+                        if let BankState::Opening { opened_at, .. } = module.bank_state(b, now) {
                             if now >= opened_at + module.timing().t_ras {
-                                return Decision::Issue(
-                                    DramCommand::Precharge { bank: b },
-                                    None,
-                                );
+                                return Decision::Issue(DramCommand::Precharge { bank: b }, None);
                             }
                         }
                     }
@@ -227,10 +222,7 @@ impl Scheduler {
                 BankState::Opening { row, opened_at, .. }
                     if row != d.row && now >= opened_at + module.timing().t_ras =>
                 {
-                    return Decision::Issue(
-                        DramCommand::Precharge { bank: d.bank },
-                        None,
-                    );
+                    return Decision::Issue(DramCommand::Precharge { bank: d.bank }, None);
                 }
                 _ => {}
             }
@@ -446,7 +438,8 @@ mod tests {
         );
         let mut m = DramModule::new(DramTiming::default(), map);
         // A row is open that nobody in the queue wants.
-        m.issue(DramCommand::Activate { bank: 3, row: 17 }, 0).unwrap();
+        m.issue(DramCommand::Activate { bank: 3, row: 17 }, 0)
+            .unwrap();
         // After tRAS, the closed-page scheduler closes it even with an
         // empty queue.
         match s.decide(&m, 30, 6240) {

@@ -95,8 +95,7 @@ impl Workload {
                 a
             }
             AccessPattern::Random => {
-                (self.rng.uniform() * self.config.footprint as f64) as u64
-                    % self.config.footprint
+                (self.rng.uniform() * self.config.footprint as f64) as u64 % self.config.footprint
             }
             AccessPattern::RowHog { hot_addresses } => {
                 self.rng.index(hot_addresses.max(1) as usize) as u64 % self.config.footprint

@@ -252,7 +252,10 @@ impl Poller {
 
     /// Number of registered descriptors.
     pub fn registered(&self) -> usize {
-        self.interests.lock().expect("poller interests poisoned").len()
+        self.interests
+            .lock()
+            .expect("poller interests poisoned")
+            .len()
     }
 
     /// Block until at least one registered descriptor is ready, the

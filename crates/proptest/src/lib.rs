@@ -176,7 +176,10 @@ impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
                 return v;
             }
         }
-        panic!("prop_filter({}) rejected 10000 consecutive samples", self.whence);
+        panic!(
+            "prop_filter({}) rejected 10000 consecutive samples",
+            self.whence
+        );
     }
 }
 
@@ -498,9 +501,7 @@ macro_rules! prop_assert_ne {
 macro_rules! prop_assume {
     ($cond:expr) => {
         if !($cond) {
-            return ::std::result::Result::Err($crate::TestCaseError::reject(
-                stringify!($cond),
-            ));
+            return ::std::result::Result::Err($crate::TestCaseError::reject(stringify!($cond)));
         }
     };
 }
@@ -553,10 +554,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "case")]
     fn failing_property_panics() {
-        crate::run_cases(
-            "always_fails",
-            ProptestConfig::with_cases(4),
-            |_| Err(TestCaseError::fail("nope")),
-        );
+        crate::run_cases("always_fails", ProptestConfig::with_cases(4), |_| {
+            Err(TestCaseError::fail("nope"))
+        });
     }
 }

@@ -139,10 +139,7 @@ pub fn histogram(name: &str) -> Option<Arc<Histogram>> {
 
 /// Get the global histogram `name`, building it with `make` on first
 /// registration, or `None` when no default is installed.
-pub fn histogram_with(
-    name: &str,
-    make: impl FnOnce() -> Histogram,
-) -> Option<Arc<Histogram>> {
+pub fn histogram_with(name: &str, make: impl FnOnce() -> Histogram) -> Option<Arc<Histogram>> {
     global().map(|t| t.registry().histogram_with(name, make))
 }
 
@@ -217,7 +214,10 @@ mod tests {
         assert!(!SpanTimer::global("pre.span").is_enabled());
 
         let t = install(Telemetry::new()).expect("first install");
-        assert!(install(Telemetry::new()).is_err(), "second install rejected");
+        assert!(
+            install(Telemetry::new()).is_err(),
+            "second install rejected"
+        );
 
         inc("post.install");
         add("post.install", 2);

@@ -87,7 +87,10 @@ impl Histogram {
     /// not strictly increasing — bucket layout is a programming-time
     /// decision, not a runtime input.
     pub fn new(bounds: &[f64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bucket bound");
+        assert!(
+            !bounds.is_empty(),
+            "histogram needs at least one bucket bound"
+        );
         assert!(
             bounds.iter().all(|b| b.is_finite()),
             "histogram bucket bounds must be finite"
@@ -124,9 +127,7 @@ impl Histogram {
     /// Panics if `width <= 0` or `buckets == 0`.
     pub fn linear(start: f64, width: f64, buckets: usize) -> Self {
         assert!(width > 0.0 && buckets > 0);
-        let bounds: Vec<f64> = (0..buckets)
-            .map(|i| start + width * i as f64)
-            .collect();
+        let bounds: Vec<f64> = (0..buckets).map(|i| start + width * i as f64).collect();
         Self::new(&bounds)
     }
 

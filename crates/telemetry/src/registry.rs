@@ -187,16 +187,10 @@ impl Registry {
                         cumulative += count;
                         match snap.bounds.get(i) {
                             Some(b) => {
-                                let _ = writeln!(
-                                    out,
-                                    "{name}_bucket{{le=\"{b}\"}} {cumulative}"
-                                );
+                                let _ = writeln!(out, "{name}_bucket{{le=\"{b}\"}} {cumulative}");
                             }
                             None => {
-                                let _ = writeln!(
-                                    out,
-                                    "{name}_bucket{{le=\"+Inf\"}} {cumulative}"
-                                );
+                                let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
                             }
                         }
                     }

@@ -173,7 +173,12 @@ mod tests {
         // Error energy is concentrated at/after the termination echo.
         let early = e.window(0.0, round_trip * 0.9);
         let late = e.window(round_trip * 0.95, round_trip * 1.4);
-        assert!(late.peak() > 100.0 * early.peak(), "late={} early={}", late.peak(), early.peak());
+        assert!(
+            late.peak() > 100.0 * early.peak(),
+            "late={} early={}",
+            late.peak(),
+            early.peak()
+        );
     }
 
     #[test]
@@ -248,11 +253,18 @@ mod tests {
         let e = error_function(&w0, &scarred.edge_response(&cfg()));
         let probe_sig = error_function(
             &w0,
-            &Attack::paper_magnetic_probe().apply(&base).edge_response(&cfg()),
+            &Attack::paper_magnetic_probe()
+                .apply(&base)
+                .edge_response(&cfg()),
         );
         // The permanent scar is of the same order as a pressed-on magnetic
         // probe — far above the detection threshold either way.
-        assert!(e.peak() > 0.3 * probe_sig.peak(), "{} vs {}", e.peak(), probe_sig.peak());
+        assert!(
+            e.peak() > 0.3 * probe_sig.peak(),
+            "{} vs {}",
+            e.peak(),
+            probe_sig.peak()
+        );
     }
 
     #[test]

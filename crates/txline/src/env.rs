@@ -55,7 +55,11 @@ impl TemperatureProfile {
             TemperatureProfile::Constant(c) => c,
             TemperatureProfile::Swing { from, to, period } => {
                 let phase = (t.0 / period.0).rem_euclid(1.0);
-                let tri = if phase < 0.5 { 2.0 * phase } else { 2.0 - 2.0 * phase };
+                let tri = if phase < 0.5 {
+                    2.0 * phase
+                } else {
+                    2.0 - 2.0 * phase
+                };
                 Celsius(from.0 + (to.0 - from.0) * tri)
             }
         }
@@ -97,8 +101,7 @@ impl Vibration {
     pub fn strain_at(&self, t: Seconds) -> f64 {
         let tau = t.0.rem_euclid(self.sweep_period);
         let k = (self.freq_end - self.freq_start) / self.sweep_period;
-        let phase =
-            2.0 * std::f64::consts::PI * (self.freq_start * tau + 0.5 * k * tau * tau);
+        let phase = 2.0 * std::f64::consts::PI * (self.freq_start * tau + 0.5 * k * tau * tau);
         self.strain_amplitude * phase.sin()
     }
 }
@@ -171,10 +174,7 @@ impl Environment {
         let scale = 1.0 / dk_factor.sqrt();
         let aging = 1.0 + self.aging_per_year * self.age_years;
         let z_scale = scale * aging;
-        let vib = self
-            .vibration
-            .map(|v| v.strain_at(t))
-            .unwrap_or(0.0);
+        let vib = self.vibration.map(|v| v.strain_at(t)).unwrap_or(0.0);
         EnvState {
             z_scale_q: (z_scale * 1e6).round() as i64,
             velocity_scale_q: (scale * 1e6).round() as i64,

@@ -123,8 +123,7 @@ impl FabricationProcess {
                 // Half-cosine bump shape so the discontinuity is
                 // band-limited.
                 let frac = (i as f64 + 0.5) / bump_segs as f64;
-                let shape =
-                    0.5 * (1.0 - (std::f64::consts::PI * (2.0 * frac - 1.0)).cos().abs());
+                let shape = 0.5 * (1.0 - (std::f64::consts::PI * (2.0 * frac - 1.0)).cos().abs());
                 0.5 + shape
             })
             .collect();
@@ -162,10 +161,8 @@ impl FabricationProcess {
     fn apply_connector_bumps(&self, pre: &LinePrecompute, z: &mut [f64], asm_rng: &mut DivotRng) {
         let n = z.len();
         // Each end's realized bump amplitude varies with assembly.
-        let amp_near =
-            self.connector_bump * (1.0 + asm_rng.normal(0.0, self.connector_variation));
-        let amp_far =
-            self.connector_bump * (1.0 + asm_rng.normal(0.0, self.connector_variation));
+        let amp_near = self.connector_bump * (1.0 + asm_rng.normal(0.0, self.connector_variation));
+        let amp_far = self.connector_bump * (1.0 + asm_rng.normal(0.0, self.connector_variation));
         for (i, &gain) in pre.bump_gain.iter().take(n).enumerate() {
             z[i] *= 1.0 + amp_near * gain;
             z[n - 1 - i] *= 1.0 + amp_far * gain;
@@ -252,8 +249,7 @@ impl IipProfile {
     /// its mean — the strength of the fingerprint.
     pub fn contrast(&self) -> f64 {
         let m = self.mean_impedance().0;
-        let var =
-            self.z.iter().map(|&z| (z - m) * (z - m)).sum::<f64>() / self.z.len() as f64;
+        let var = self.z.iter().map(|&z| (z - m) * (z - m)).sum::<f64>() / self.z.len() as f64;
         var.sqrt() / m
     }
 

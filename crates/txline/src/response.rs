@@ -130,7 +130,11 @@ impl fmt::Display for CacheStatsView {
         write!(
             f,
             "hits={} misses={} engine_runs={} renders={} invalidations={} evictions={}",
-            self.hits, self.misses, self.engine_runs, self.renders, self.invalidations,
+            self.hits,
+            self.misses,
+            self.engine_runs,
+            self.renders,
+            self.invalidations,
             self.evictions
         )
     }
@@ -251,12 +255,7 @@ impl ResponseCache {
 
     /// The response waveform for `base` under `env` at experiment time `t`,
     /// simulating only if this instant's quantized state is not yet cached.
-    pub fn response_at(
-        &mut self,
-        base: &Network,
-        env: &Environment,
-        t: Seconds,
-    ) -> Arc<Waveform> {
+    pub fn response_at(&mut self, base: &Network, env: &Environment, t: Seconds) -> Arc<Waveform> {
         let state = env.state_at(t);
         self.response_for_state(base, env, state)
     }
@@ -520,7 +519,7 @@ mod tests {
         cache.set_sim_config(sim2);
         assert!(cache.is_empty());
         assert_eq!(cache.cached_impulses(), 1); // expensive tier survives
-        // Same config again is a no-op (no spurious invalidation).
+                                                // Same config again is a no-op (no spurious invalidation).
         let inv = cache.stats().invalidations;
         cache.set_sim_config(sim2);
         assert_eq!(cache.stats().invalidations, inv);
@@ -542,7 +541,11 @@ mod tests {
             });
             let _ = cache.response_at(&n, &env, Seconds(0.0));
         }
-        assert_eq!(cache.stats().engine_runs, 1, "drive changes must not re-simulate");
+        assert_eq!(
+            cache.stats().engine_runs,
+            1,
+            "drive changes must not re-simulate"
+        );
         assert_eq!(cache.stats().renders, 4);
     }
 

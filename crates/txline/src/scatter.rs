@@ -293,14 +293,9 @@ struct StubState {
 #[derive(Debug, Clone, Copy)]
 enum PlanStep {
     /// Tap-free interfaces `lo..hi` (half-open).
-    Span {
-        lo: usize,
-        hi: usize,
-    },
+    Span { lo: usize, hi: usize },
     /// The junction at `taps[tap]`.
-    Tap {
-        tap: usize,
-    },
+    Tap { tap: usize },
 }
 
 /// The scattering engine for one network under one drive configuration.
@@ -389,8 +384,7 @@ impl Engine {
         let seg_len = line.profile.segment_length().0;
         let atten = 10f64.powf(-line.loss_db_per_m * seg_len / 20.0);
         let z_src = line.profile.z_at_source();
-        let rho_source =
-            (cfg.source_impedance.0 - z_src) / (cfg.source_impedance.0 + z_src);
+        let rho_source = (cfg.source_impedance.0 - z_src) / (cfg.source_impedance.0 + z_src);
         let reflector = line.termination.reflector(Ohms(z[k - 1]), dt);
 
         let mut taps = Vec::new();
@@ -693,10 +687,7 @@ mod tests {
     use crate::units::Farads;
 
     fn uniform_line(term: Termination) -> TxLine {
-        let mut line = TxLine::new(
-            IipProfile::uniform(Ohms(50.0), Meters(0.25), 256),
-            term,
-        );
+        let mut line = TxLine::new(IipProfile::uniform(Ohms(50.0), Meters(0.25), 256), term);
         line.loss_db_per_m = 0.0;
         line
     }
@@ -781,7 +772,10 @@ mod tests {
         let rho = 5.0 / 105.0;
         let expect = 0.45 * rho;
         let at_echo = w.sample_at(mid_rt + 3.0 * cfg.rise_time.0);
-        assert!((at_echo - expect).abs() < 2e-4, "got {at_echo} want {expect}");
+        assert!(
+            (at_echo - expect).abs() < 2e-4,
+            "got {at_echo} want {expect}"
+        );
         // Before the echo: nothing.
         assert!(w.sample_at(mid_rt * 0.8).abs() < 1e-12);
     }
@@ -821,7 +815,10 @@ mod tests {
         // the junction (parallel load drops the impedance).
         assert!(clean.peak() < 1e-12);
         let echo = w.sample_at(mid_rt + 3.0 * fast_cfg().rise_time.0);
-        assert!(echo < -0.02, "junction echo should be strongly negative: {echo}");
+        assert!(
+            echo < -0.02,
+            "junction echo should be strongly negative: {echo}"
+        );
     }
 
     #[test]
@@ -844,7 +841,11 @@ mod tests {
         // Backscatter from the distributed IIP before the termination echo:
         let one_way = line.one_way_delay().0;
         let early = w.window(0.6e-9, 2.0 * one_way * 0.9);
-        assert!(early.peak() > 1e-5, "IIP backscatter exists: {}", early.peak());
+        assert!(
+            early.peak() > 1e-5,
+            "IIP backscatter exists: {}",
+            early.peak()
+        );
         assert!(early.peak() < 0.05, "but is weak: {}", early.peak());
     }
 
@@ -876,7 +877,11 @@ mod tests {
 
     #[test]
     fn edge_shapes_are_normalized() {
-        for shape in [EdgeShape::Linear, EdgeShape::RaisedCosine, EdgeShape::Exponential] {
+        for shape in [
+            EdgeShape::Linear,
+            EdgeShape::RaisedCosine,
+            EdgeShape::Exponential,
+        ] {
             assert!(shape.at(0.0).abs() < 1e-12);
             assert!(shape.at(5.0) > 0.98);
             // Monotone over the rise.

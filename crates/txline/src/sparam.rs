@@ -96,10 +96,7 @@ mod tests {
     use crate::units::{Farads, Meters, Ohms, Seconds};
 
     fn lossless(term: Termination) -> TxLine {
-        let mut line = TxLine::new(
-            IipProfile::uniform(Ohms(50.0), Meters(0.25), 256),
-            term,
-        );
+        let mut line = TxLine::new(IipProfile::uniform(Ohms(50.0), Meters(0.25), 256), term);
         line.loss_db_per_m = 0.0;
         line
     }
@@ -116,7 +113,12 @@ mod tests {
     fn matched_line_has_near_zero_s11() {
         let spec = s11_spectrum(&lossless(Termination::Matched).network(), &cfg(), 3e9);
         for p in &spec {
-            assert!(p.magnitude < 1e-9, "f={} |S11|={}", p.frequency, p.magnitude);
+            assert!(
+                p.magnitude < 1e-9,
+                "f={} |S11|={}",
+                p.frequency,
+                p.magnitude
+            );
         }
     }
 
@@ -222,7 +224,10 @@ mod tests {
         let spec = s11_spectrum(&line.network(), &cfg(), 3e9);
         let rho = 5.0 / 105.0;
         let max = spec.iter().map(|p| p.magnitude).fold(0.0, f64::max);
-        let min = spec.iter().map(|p| p.magnitude).fold(f64::INFINITY, f64::min);
+        let min = spec
+            .iter()
+            .map(|p| p.magnitude)
+            .fold(f64::INFINITY, f64::min);
         assert!(max > 1.4 * rho, "constructive peaks: max={max} rho={rho}");
         assert!(max < 2.3 * rho, "bounded by 2ρ: max={max}");
         assert!(min < 0.3 * rho, "comb must have nulls: min={min}");

@@ -207,8 +207,14 @@ mod tests {
             last = refl.step(1.0);
         }
         let gamma_dc = (60.0 - 50.0) / (60.0 + 50.0);
-        assert!(first < -0.5, "initial reflection should be strongly negative: {first}");
-        assert!((last - gamma_dc).abs() < 1e-3, "steady state {last} vs {gamma_dc}");
+        assert!(
+            first < -0.5,
+            "initial reflection should be strongly negative: {first}"
+        );
+        assert!(
+            (last - gamma_dc).abs() < 1e-3,
+            "steady state {last} vs {gamma_dc}"
+        );
     }
 
     #[test]

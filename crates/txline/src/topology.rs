@@ -76,17 +76,18 @@ impl MultiDropConfig {
 /// Panics if `drops == 0`.
 pub fn multidrop_network(config: &MultiDropConfig, seed: u64) -> Network {
     assert!(config.drops > 0, "a multi-drop bus needs at least one drop");
-    let profile =
-        config
-            .process
-            .sample_profile(config.length, config.segments, seed, 0);
+    let profile = config
+        .process
+        .sample_profile(config.length, config.segments, seed, 0);
     let main = TxLine::new(profile, config.end_termination);
     let mut taps = Vec::with_capacity(config.drops);
     let mut rng = DivotRng::derive(seed, 0xD30F);
     for k in 0..config.drops {
         // Drops spread over 10–90 % of the trace.
         let position = 0.1 + 0.8 * (k as f64 + 0.5) / config.drops as f64;
-        let device = config.device.process_variant(config.device_spread, &mut rng);
+        let device = config
+            .device
+            .process_variant(config.device_spread, &mut rng);
         taps.push(Tap {
             position,
             stub: StubSpec {

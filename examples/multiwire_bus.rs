@@ -21,7 +21,13 @@ fn main() {
 
     // Enroll all four lanes of our bus.
     let mut our_channels: Vec<_> = (0..lanes)
-        .map(|i| BusChannel::new(ours.line(i).clone(), FrontEndConfig::default(), 10 + i as u64))
+        .map(|i| {
+            BusChannel::new(
+                ours.line(i).clone(),
+                FrontEndConfig::default(),
+                10 + i as u64,
+            )
+        })
         .collect();
     let fingerprints: Vec<Fingerprint> = our_channels
         .iter_mut()
@@ -35,15 +41,28 @@ fn main() {
     println!(
         "genuine 4-lane bus: fused similarity {:.4} -> {}",
         decision.similarity(),
-        if decision.is_accept() { "ACCEPT" } else { "REJECT" }
+        if decision.is_accept() {
+            "ACCEPT"
+        } else {
+            "REJECT"
+        }
     );
     assert!(decision.is_accept());
 
     // Attacker substitutes the clone board (all four lanes).
     let mut clone_channels: Vec<_> = (0..lanes)
-        .map(|i| BusChannel::new(clone.line(i).clone(), FrontEndConfig::default(), 20 + i as u64))
+        .map(|i| {
+            BusChannel::new(
+                clone.line(i).clone(),
+                FrontEndConfig::default(),
+                20 + i as u64,
+            )
+        })
         .collect();
-    let forged: Vec<_> = clone_channels.iter_mut().map(|ch| itdr.measure(ch)).collect();
+    let forged: Vec<_> = clone_channels
+        .iter_mut()
+        .map(|ch| itdr.measure(ch))
+        .collect();
     let per_lane: Vec<f64> = fingerprints
         .iter()
         .zip(&forged)
@@ -55,7 +74,11 @@ fn main() {
     println!(
         "cloned 4-lane bus: fused similarity {:.4} -> {}",
         decision.similarity(),
-        if decision.is_accept() { "ACCEPT" } else { "REJECT" }
+        if decision.is_accept() {
+            "ACCEPT"
+        } else {
+            "REJECT"
+        }
     );
     assert!(!decision.is_accept(), "the clone must be rejected");
     // Even if one lane happened to score above threshold, fusion drowns it.

@@ -10,8 +10,8 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use divot::prelude::*;
 use divot::core::fingerprint::Fingerprint;
+use divot::prelude::*;
 
 fn main() {
     // Fabricate the paper's six-line prototype board. Line 0 is "our" bus;
@@ -44,7 +44,11 @@ fn main() {
     println!(
         "genuine bus:   similarity {:.4} -> {}",
         decision.similarity(),
-        if decision.is_accept() { "ACCEPT" } else { "REJECT" }
+        if decision.is_accept() {
+            "ACCEPT"
+        } else {
+            "REJECT"
+        }
     );
     assert!(decision.is_accept(), "the genuine bus must authenticate");
 
@@ -57,7 +61,11 @@ fn main() {
     println!(
         "impostor bus:  similarity {:.4} -> {}",
         decision.similarity(),
-        if decision.is_accept() { "ACCEPT" } else { "REJECT" }
+        if decision.is_accept() {
+            "ACCEPT"
+        } else {
+            "REJECT"
+        }
     );
     assert!(!decision.is_accept(), "the impostor must be rejected");
 

@@ -23,7 +23,11 @@ fn main() {
     let mut channels: Vec<_> = (0..lanes)
         .map(|i| {
             hub.add_lane(format!("bus{i}"));
-            BusChannel::new(board.line(i).clone(), FrontEndConfig::default(), 800 + i as u64)
+            BusChannel::new(
+                board.line(i).clone(),
+                FrontEndConfig::default(),
+                800 + i as u64,
+            )
         })
         .collect();
 
@@ -42,7 +46,11 @@ fn main() {
     // Persist the pairings to the EPROM bank (per §III, no secrecy needed).
     let mut registry = FingerprintRegistry::new();
     for (id, name) in hub.lanes() {
-        let fp = hub.lane_monitor(id).fingerprint().expect("calibrated").clone();
+        let fp = hub
+            .lane_monitor(id)
+            .fingerprint()
+            .expect("calibrated")
+            .clone();
         registry.register(
             name.to_owned(),
             Pairing {
@@ -52,7 +60,11 @@ fn main() {
         );
     }
     let bank = registry.to_bank_bytes();
-    println!("EPROM bank: {} pairings in {} bytes", registry.len(), bank.len());
+    println!(
+        "EPROM bank: {} pairings in {} bytes",
+        registry.len(),
+        bank.len()
+    );
 
     // --- reboot: reload the bank, monitors resume without re-enrollment --
     let restored = FingerprintRegistry::from_bank_bytes(&bank).expect("valid bank");
@@ -62,7 +74,10 @@ fn main() {
         let pairing = restored.get(&format!("bus{i}")).expect("persisted");
         hub2.restore_lane(id, pairing.master.clone());
     }
-    println!("reboot: {} lanes restored from EPROM, no re-calibration", lanes);
+    println!(
+        "reboot: {} lanes restored from EPROM, no re-calibration",
+        lanes
+    );
     let healthy = hub2.poll_all(&mut channels);
     assert!(healthy.iter().all(|(_, events)| events
         .iter()

@@ -24,12 +24,8 @@ fn main() {
     let cleans: Vec<_> = (0..4)
         .map(|_| itdr.measure_averaged(&mut bus, 16))
         .collect();
-    let detector = TamperDetector::calibrated(
-        TamperPolicy::default(),
-        fingerprint.iip(),
-        &cleans,
-        4.0,
-    );
+    let detector =
+        TamperDetector::calibrated(TamperPolicy::default(), fingerprint.iip(), &cleans, 4.0);
     println!(
         "calibrated threshold: {:.2e} V^2 (paper floor 5e-7)",
         detector.policy().threshold
@@ -41,7 +37,11 @@ fn main() {
             Attack::trojan_chip(99),
             Some(line_length.0),
         ),
-        ("wire-tap to oscilloscope", Attack::paper_wiretap(), Some(0.5 * line_length.0)),
+        (
+            "wire-tap to oscilloscope",
+            Attack::paper_wiretap(),
+            Some(0.5 * line_length.0),
+        ),
         (
             "magnetic near-field probe",
             Attack::paper_magnetic_probe(),
@@ -56,9 +56,7 @@ fn main() {
         let report = detector.scan(fingerprint.iip(), &measured);
         print!("{name}: ");
         if report.detected {
-            let loc = report
-                .location
-                .unwrap_or(Meters(f64::NAN));
+            let loc = report.location.unwrap_or(Meters(f64::NAN));
             print!(
                 "DETECTED (peak E = {:.2e}, located at {:.1} cm",
                 report.max_error,

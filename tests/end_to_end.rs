@@ -100,8 +100,7 @@ fn every_attack_in_the_suite_is_detected() {
     let cleans: Vec<_> = (0..4)
         .map(|_| itdr.measure_averaged(&mut bus, 16))
         .collect();
-    let detector =
-        TamperDetector::calibrated(TamperPolicy::default(), fp.iip(), &cleans, 4.0);
+    let detector = TamperDetector::calibrated(TamperPolicy::default(), fp.iip(), &cleans, 4.0);
     let auth = Authenticator::new(AuthPolicy::default());
 
     let clean_network = bus.network().clone();

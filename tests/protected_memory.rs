@@ -123,7 +123,10 @@ fn restore_recovers_normal_service() {
         !sys.reacting(),
         "service must recover after the attacker unplugs"
     );
-    assert!(completions_late > 100, "late completions: {completions_late}");
+    assert!(
+        completions_late > 100,
+        "late completions: {completions_late}"
+    );
 }
 
 #[test]
