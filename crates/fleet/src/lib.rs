@@ -19,7 +19,8 @@
 //!   [`FingerprintRegistry`](divot_core::registry::FingerprintRegistry)
 //!   EPROM bank images with atomic-rename durability.
 //! - [`sim`] — [`SimulatedFleet`]: the physics
-//!   behind the service. Every device is a fabricated Tx-line; every
+//!   behind the service. Every device is a Tx-line fabricated on first
+//!   use, and a warm device keeps only what its acquisitions read; every
 //!   acquisition derives its RNG stream from `(device, nonce)`, so the
 //!   service's answers are a pure function of the request — the property
 //!   every concurrency test in this crate leans on.
