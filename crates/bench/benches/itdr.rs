@@ -9,7 +9,8 @@
 //! `just bench-itdr`), into the `metrics` section of `BENCH_itdr.json`.
 //!
 //! The `itdr/fleet_acquire` group times the fleet's warm acquisition,
-//! the per-verify cost of the service.
+//! the per-verify cost of the service, and `itdr/fleet_warm` a device's
+//! first touch, paid once per device before its first sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use divot_analog::frontend::FrontEndConfig;
@@ -147,6 +148,23 @@ fn bench_fleet_acquire(c: &mut Criterion) {
     }
 }
 
+/// First touch of a fleet device, what a never-served device's first
+/// request pays before its sweep: fabrication, the probe run and the
+/// detector nodes (`SimulatedFleet::warm_up` on `FleetSimConfig::fast`),
+/// each iteration on a device no earlier iteration touched.
+fn bench_fleet_warm(c: &mut Criterion) {
+    const DEVICES: usize = 1 << 15;
+    let fleet = SimulatedFleet::new(FleetSimConfig::fast(DEVICES, 2020));
+    let mut next = 0;
+    c.bench_function("itdr/fleet_warm", |b| {
+        b.iter(|| {
+            assert!(next < DEVICES, "every device is warm");
+            next += 1;
+            black_box(fleet.warm_up(&SimulatedFleet::device_name(next - 1)))
+        })
+    });
+}
+
 /// Publish the Analytic-over-Trial speedup ratios (the acceptance numbers
 /// in `EXPERIMENTS.md`), computed from the medians of the benches above.
 fn record_speedups(c: &mut Criterion) {
@@ -175,6 +193,7 @@ criterion_group!(
     bench_enroll_paper,
     bench_acq_paper_full,
     bench_fleet_acquire,
+    bench_fleet_warm,
     record_speedups
 );
 criterion_main!(benches);

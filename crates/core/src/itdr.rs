@@ -858,6 +858,23 @@ impl Itdr {
         }
     }
 
+    /// How many leading samples of a back-reflection on a grid of `tick`
+    /// per sample (starting at 0) [`detector_nodes`](Self::detector_nodes)
+    /// reads under RMS trigger jitter `jitter_rms`: `floor(x_max) + 2`,
+    /// where `x_max` is the latest detector instant — the last ETS point
+    /// plus the largest jitter abscissa — in samples.
+    /// [`Waveform::sample_at`] interpolates between samples `floor(x)`
+    /// and `floor(x) + 1`, and only a sample past `x` would turn an
+    /// interpolation into a clamp to the last sample, so a response cut
+    /// to this length yields bitwise the same nodes.
+    pub fn detector_horizon(&self, jitter_rms: f64, tick: Seconds) -> usize {
+        let ets = self.config.ets;
+        let x_max = JITTER_QUAD
+            .abscissas(ets.time_of(ets.points() - 1), jitter_rms)
+            .fold(0.0, |x: f64, t| x.max(t / tick.0));
+        x_max.floor() as usize + 2
+    }
+
     /// Averaged analytic acquisition read straight off a device's
     /// [`DetectorNodes`], with no channel.
     ///

@@ -22,7 +22,9 @@
 //!
 //! - **Analytic fleets** keep every ETS point's jitter-quadrature
 //!   detector nodes ([`DetectorNodes`], 43 × 9 `f64` on the fast
-//!   instrument), sampled once from a probe channel. A request reads them
+//!   instrument), sampled once from a probe channel whose engine runs
+//!   only the ticks the nodes read (579 of 1 419 on the fast
+//!   instrument). A request reads them
 //!   through [`Itdr::measure_averaged_nodes`] together with the
 //!   fleet-wide [`AnalyticPlan`] and count→voltage ROM, and builds no
 //!   channel, no network and no response.
@@ -51,7 +53,6 @@ use divot_txline::board::{Board, BoardConfig, DesignPrecompute};
 use divot_txline::env::{EnvState, Environment};
 use divot_txline::scatter::{Network, SimConfig};
 use divot_txline::units::{Ohms, Seconds};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Seed-derivation domain of the master-end channel.
@@ -186,9 +187,6 @@ pub struct SimulatedFleet {
     /// request on a device pays its fabrication and engine run and every
     /// later request (on any worker) shares the result.
     warm: Vec<OnceLock<WarmDevice>>,
-    /// Name → index map: device lookup is O(1) no matter how many buses
-    /// the fleet watches.
-    index: HashMap<String, usize>,
     /// Fleet-wide count→voltage ROM (pure function of the shared
     /// front-end config and repetition count), read by every request.
     table: Arc<ReconstructionTable>,
@@ -234,9 +232,6 @@ impl SimulatedFleet {
             .iter()
             .any(|(_, a)| *a == Anomaly::Counterfeit)
             .then(|| DesignPrecompute::new(Self::counterfeit_board_config(design.config())));
-        let index = (0..config.devices)
-            .map(|i| (Self::device_name(i), i))
-            .collect();
         let reps = config.itdr.repetitions;
         let table = Arc::new(ReconstructionTable::build(
             &effective_cdf(&config.frontend),
@@ -249,7 +244,6 @@ impl SimulatedFleet {
             itdr: Itdr::new(config.itdr),
             warm: (0..config.devices).map(|_| OnceLock::new()).collect(),
             config,
-            index,
             table,
             plan,
             design,
@@ -307,10 +301,20 @@ impl SimulatedFleet {
     }
 
     /// The index of device `name`, or `None` if it does not exist.
-    /// O(1): backed by the prebuilt name → index map. Stable for the
-    /// fleet's lifetime, so it doubles as a compact cache-key component.
+    /// Parses the canonical [`device_name`](Self::device_name) — `bus-`
+    /// and ASCII digits, zero-padded to three and with no other leading
+    /// zero — so no name map is kept. Stable for the fleet's lifetime, so
+    /// it doubles as a compact cache-key component.
     pub fn device_index(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
+        let digits = name.strip_prefix("bus-")?;
+        let canonical = digits.len() >= 3
+            && digits.bytes().all(|b| b.is_ascii_digit())
+            && (digits.len() == 3 || !digits.starts_with('0'));
+        if !canonical {
+            return None;
+        }
+        let i: usize = digits.parse().ok()?;
+        (i < self.device_count()).then_some(i)
     }
 
     /// The per-request channel seed: derived from
@@ -353,13 +357,13 @@ impl SimulatedFleet {
         self.warm[i].get_or_init(|| {
             let network = self.network(i);
             if self.plan.is_some() {
-                let mut probe = self.raw_channel(network, 0);
+                let env = Environment::room();
                 // Nodes sampled once stand for every later instant only
                 // if the response never changes.
-                assert!(
-                    probe.environment().is_static(),
-                    "detector nodes need a static environment"
-                );
+                assert!(env.is_static(), "detector nodes need a static environment");
+                let sim = self.node_probe_sim(&network, &env);
+                let mut probe =
+                    BusChannel::from_network(network, env, sim, self.config.frontend, 0);
                 WarmDevice::Nodes(self.itdr.detector_nodes(&probe.measurement_context()))
             } else {
                 let mut probe = self.raw_channel(network.clone(), 0);
@@ -372,6 +376,20 @@ impl SimulatedFleet {
                 }))
             }
         })
+    }
+
+    /// The simulation config of an analytic device's probe: the default
+    /// one cut to the ticks its detector nodes read
+    /// ([`Itdr::detector_horizon`], counted in the tick of the line as
+    /// `env` leaves it, which the engine steps by). The probe's response
+    /// cache runs it like any config; the shorter response is a prefix of
+    /// the full one, so the nodes are bitwise the same.
+    fn node_probe_sim(&self, network: &Network, env: &Environment) -> SimConfig {
+        let line = env.apply(network, &env.state_at(Seconds(0.0))).main;
+        let horizon = self
+            .itdr
+            .detector_horizon(self.config.frontend.pll.jitter_rms, line.tick());
+        SimConfig::default().covering(&line, horizon)
     }
 
     /// An unseeded channel onto `network`. For genuine devices this is
@@ -478,6 +496,14 @@ impl SimulatedFleet {
         });
     }
 
+    /// Warm device `name` now: its fabrication, probe run and detector
+    /// nodes (or back-reflection), exactly what its first request pays,
+    /// so a benchmark can time first touch apart from the sweep. `false`
+    /// when the device does not exist.
+    pub fn warm_up(&self, name: &str) -> bool {
+        self.device_index(name).map(|i| self.warm(i)).is_some()
+    }
+
     /// One runtime acquisition from the master end of `name` under
     /// request `nonce`: the averaged IIP a verify or scan decides on.
     /// `None` when the device does not exist.
@@ -574,6 +600,8 @@ impl SimulatedFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use divot_core::ets::EtsSchedule;
+    use proptest::prelude::*;
 
     fn fleet(devices: usize) -> SimulatedFleet {
         SimulatedFleet::new(FleetSimConfig::fast(devices, 99))
@@ -618,6 +646,123 @@ mod tests {
         }
         assert_eq!(f.device_index("bus-005"), None);
         assert_eq!(f.device_index(""), None);
+    }
+
+    #[test]
+    fn device_index_parses_only_canonical_names() {
+        let f = fleet(1024);
+        assert_eq!(f.device_index("bus-000"), Some(0));
+        assert_eq!(f.device_index("bus-999"), Some(999));
+        assert_eq!(f.device_index("bus-1023"), Some(1023));
+        for name in [
+            "bus-5",
+            "bus-05",
+            "bus-0005",
+            "bus-01023",
+            "bus-+12",
+            "bus-+123",
+            "bus--12",
+            "bus-1024",
+            "bus-",
+            "bus-12a",
+            "bus-012 ",
+            "BUS-012",
+            "bus-١٢٣",
+            "bus-１２３",
+            "bus-99999999999999999999999",
+        ] {
+            assert_eq!(f.device_index(name), None, "{name:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn device_index_agrees_with_device_name(
+            devices in 1usize..1500,
+            digits in collection::vec(0u8..10, 0..6),
+            index in 0usize..3000,
+        ) {
+            let f = fleet(devices);
+            let expected = (index < devices).then_some(index);
+            prop_assert_eq!(f.device_index(&SimulatedFleet::device_name(index)), expected);
+            // Any digit string names a device exactly when it is that
+            // device's canonical name.
+            let name: String = "bus-"
+                .chars()
+                .chain(digits.iter().map(|&d| char::from(b'0' + d)))
+                .collect();
+            let value = digits.iter().fold(0usize, |v, &d| 10 * v + usize::from(d));
+            let canonical = !digits.is_empty() && SimulatedFleet::device_name(value) == name;
+            prop_assert_eq!(
+                f.device_index(&name),
+                (canonical && value < devices).then_some(value)
+            );
+        }
+    }
+
+    /// Device `i`'s detector nodes from the full-length run of a fresh
+    /// channel, the reference the capped warm-up must match bit for bit.
+    fn full_length_nodes(f: &SimulatedFleet, i: usize) -> DetectorNodes {
+        let mut probe = f.raw_channel(f.network(i), 0);
+        f.itdr.detector_nodes(&probe.measurement_context())
+    }
+
+    fn warm_nodes(f: &SimulatedFleet, i: usize) -> &DetectorNodes {
+        match f.warm(i) {
+            WarmDevice::Nodes(nodes) => nodes,
+            WarmDevice::Channel(_) => panic!("analytic fleets keep nodes"),
+        }
+    }
+
+    /// Bitwise equality: Debug prints every `f64` round-trippably (and
+    /// tells `-0.0` from `0.0`), so equal text is equal bits.
+    fn same_bits(a: &DetectorNodes, b: &DetectorNodes) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    /// Whether the warm-up of `f`'s device `i` runs shorter than the
+    /// default simulation config.
+    fn warm_up_is_capped(f: &SimulatedFleet, i: usize) -> bool {
+        f.node_probe_sim(&f.network(i), &Environment::room()) != SimConfig::default()
+    }
+
+    #[test]
+    fn capped_warm_up_keeps_the_full_length_nodes() {
+        let anomalies = vec![
+            (1, Anomaly::Counterfeit),
+            (2, Anomaly::Tampered(Attack::paper_wiretap())),
+            (3, Anomaly::Tampered(Attack::SolderScar { position: 0.4 })),
+        ];
+        for itdr in [ItdrConfig::fast(), ItdrConfig::paper()] {
+            let f = SimulatedFleet::new(
+                FleetSimConfig {
+                    itdr: itdr.with_acq_mode(AcqMode::Analytic),
+                    ..FleetSimConfig::fast(4, 31)
+                }
+                .with_anomalies(anomalies.clone()),
+            );
+            for i in 0..4 {
+                assert!(warm_up_is_capped(&f, i), "device {i}");
+                assert!(
+                    same_bits(warm_nodes(&f, i), &full_length_nodes(&f, i)),
+                    "device {i}: the capped warm-up changed a node"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn warm_up_past_the_run_keeps_the_full_length() {
+        let mut itdr = ItdrConfig::fast().with_acq_mode(AcqMode::Analytic);
+        itdr.ets = EtsSchedule::new(0.0, 12e-9, 8.0 * 11.16e-12);
+        let f = SimulatedFleet::new(FleetSimConfig {
+            itdr,
+            ..FleetSimConfig::fast(2, 31)
+        });
+        assert!(!warm_up_is_capped(&f, 1));
+        assert!(same_bits(warm_nodes(&f, 1), &full_length_nodes(&f, 1)));
     }
 
     #[test]

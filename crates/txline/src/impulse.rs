@@ -20,10 +20,11 @@
 //! per-lane drive trims) as cheap re-renders instead of wholesale
 //! invalidations.
 
-use crate::scatter::{Engine, Network, SimConfig};
+use crate::scatter::{EdgeShape, Engine, Network, SimConfig, TxLine};
 use crate::units::Ohms;
 use divot_dsp::fft::{fft_real_padded, ifft_in_place, Complex};
 use divot_dsp::waveform::Waveform;
+use std::sync::OnceLock;
 
 /// Longest settled-drive transient (in ticks) rendered by the direct
 /// step-decomposition path; longer transients fall back to the FFT. 256
@@ -32,7 +33,8 @@ use divot_dsp::waveform::Waveform;
 pub const DIRECT_RENDER_MAX_TRANSIENT: usize = 256;
 
 /// The unit-impulse back-reflection of one network (under one source
-/// impedance), with its spectrum precomputed for fast convolution.
+/// impedance), with its step response precomputed and its spectrum built
+/// on first use.
 ///
 /// Obtained from [`Network::impulse_response`]; consumed by
 /// [`ImpulseResponse::render`].
@@ -44,9 +46,11 @@ pub struct ImpulseResponse {
     /// to a constant render as `tail · step + (short transient ⊛ h)`, far
     /// cheaper than a full-length FFT convolution.
     cumulative: Vec<f64>,
-    /// FFT of `h` at `fft_size`, computed once so each render costs one
-    /// forward and one inverse transform.
-    spectrum: Vec<Complex>,
+    /// FFT of `h` at `fft_size`, computed on the first FFT render (only a
+    /// drive that does not settle within [`DIRECT_RENDER_MAX_TRANSIENT`]
+    /// ticks needs it) so each later render costs one forward and one
+    /// inverse transform.
+    spectrum: OnceLock<Vec<Complex>>,
     /// Power-of-two transform size covering `h.len() + drive.len() − 1`
     /// for any drive up to `h.len()` samples (no circular aliasing).
     fft_size: usize,
@@ -77,8 +81,6 @@ impl Network {
         let mut impulse = vec![0.0; ticks];
         impulse[0] = 1.0;
         let h = engine.run(&impulse).into_samples();
-        let fft_size = (2 * ticks.max(1)).next_power_of_two();
-        let spectrum = fft_real_padded(&h, fft_size);
         let cumulative = h
             .iter()
             .scan(0.0, |acc, &x| {
@@ -89,12 +91,56 @@ impl Network {
         ImpulseResponse {
             h,
             cumulative,
-            spectrum,
-            fft_size,
+            spectrum: OnceLock::new(),
+            fft_size: (2 * ticks.max(1)).next_power_of_two(),
             dt: self.main.tick().0,
             segments: self.main.profile.len(),
             z_source: self.main.profile.z_at_source(),
             source_impedance: cfg.source_impedance,
+        }
+    }
+}
+
+impl SimConfig {
+    /// The shortest variant of this configuration (only `duration_factor`
+    /// changes) whose run on `line` covers the first `ticks` samples of
+    /// the back-reflection — or `self` unchanged when that run would not
+    /// be shorter, or when the drive has not reached its final value by
+    /// that run's last tick and by tick [`DIRECT_RENDER_MAX_TRANSIENT`].
+    ///
+    /// Either way the returned configuration's run, direct or rendered
+    /// through [`ImpulseResponse::render`], is bitwise the first samples
+    /// of this configuration's: the engine is causal, so a shorter run is
+    /// a prefix of the longer one, and render sample `n` reads only
+    /// `h[..=n]`, the drive's transient and its settled tail, which the
+    /// two drives share exactly when both have reached the tail.
+    pub fn covering(&self, line: &TxLine, ticks: usize) -> SimConfig {
+        let (segments, dt) = (line.profile.len(), line.tick().0);
+        let fixed = SimConfig {
+            duration_factor: 0.0,
+            ..*self
+        }
+        .ticks_for_grid(segments, dt);
+        let short = SimConfig {
+            // Half a tick of slack keeps the product's rounding from
+            // flooring one tick short.
+            duration_factor: (ticks.saturating_sub(fixed) as f64 + 0.5) / (2.0 * segments as f64),
+            ..*self
+        };
+        let run = short.ticks_for_grid(segments, dt);
+        assert!(run >= ticks, "a {run}-tick run cannot cover {ticks} ticks");
+        // Linear and RaisedCosine edges clamp to exactly `at(1.0)` from
+        // `u = 1` on; an Exponential edge only approaches its tail.
+        let settled = |t: usize| {
+            self.shape != EdgeShape::Exponential && t as f64 * dt / self.rise_time.0 >= 1.0
+        };
+        if run < self.ticks_for_grid(segments, dt)
+            && settled(run - 1)
+            && settled(DIRECT_RENDER_MAX_TRANSIENT)
+        {
+            short
+        } else {
+            *self
         }
     }
 }
@@ -145,7 +191,7 @@ impl ImpulseResponse {
     /// splits into `tail · step-response + (short transient ⊛ h)` — a
     /// prefix-sum lookup plus an `O(rise_ticks · n)` direct convolution.
     /// Anything else (e.g. an asymptotic Exponential edge) takes the
-    /// general FFT convolution against the precomputed spectrum.
+    /// general FFT convolution against the impulse spectrum.
     pub fn render(&self, cfg: &SimConfig) -> Option<Waveform> {
         if !self.supports(cfg) {
             return None;
@@ -177,11 +223,14 @@ impl ImpulseResponse {
         y
     }
 
-    /// General render: multiply the drive's spectrum against the stored
-    /// impulse spectrum and inverse-transform.
+    /// General render: multiply the drive's spectrum against the impulse
+    /// spectrum (transformed here on the first call) and inverse-transform.
     fn render_fft(&self, drive: &[f64]) -> Vec<f64> {
+        let spectrum = self
+            .spectrum
+            .get_or_init(|| fft_real_padded(&self.h, self.fft_size));
         let mut spec = fft_real_padded(drive, self.fft_size);
-        for (d, h) in spec.iter_mut().zip(&self.spectrum) {
+        for (d, h) in spec.iter_mut().zip(spectrum) {
             *d = (d.0 * h.0 - d.1 * h.1, d.0 * h.1 + d.1 * h.0);
         }
         ifft_in_place(&mut spec);
@@ -193,7 +242,7 @@ impl ImpulseResponse {
 mod tests {
     use super::*;
     use crate::iip::{FabricationProcess, IipProfile};
-    use crate::scatter::{EdgeShape, StubSpec, Tap, TxLine};
+    use crate::scatter::{StubSpec, Tap};
     use crate::termination::{ChipInput, Termination};
     use crate::units::{Meters, Ohms, Seconds, Volts};
 
@@ -321,6 +370,69 @@ mod tests {
         for (i, (a, b)) in direct.iter().zip(&fft).enumerate() {
             assert!((a - b).abs() < 1e-11, "sample {i}: {a} vs {b}");
         }
+    }
+
+    fn assert_bitwise_prefix(short: &Waveform, full: &Waveform) {
+        assert!(short.len() < full.len());
+        for (i, (a, b)) in short.samples().iter().zip(full.samples()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "sample {i}");
+        }
+    }
+
+    #[test]
+    fn covering_run_is_a_bitwise_prefix_of_the_full_run() {
+        let line = paper_line(256, 4);
+        let tapped = Network {
+            main: line.clone(),
+            taps: vec![Tap {
+                position: 0.3,
+                stub: StubSpec::oscilloscope_tap(),
+            }],
+        };
+        let cfg = SimConfig::default();
+        for net in [line.network(), tapped] {
+            for ticks in [400, 585, 1000] {
+                let short = cfg.covering(&line, ticks);
+                assert_eq!(short.ticks_for(&line), ticks, "the shortest covering run");
+                let full = net.impulse_response(&cfg);
+                let cut = net.impulse_response(&short);
+                assert_bitwise_prefix(
+                    &Waveform::new(0.0, cut.dt(), cut.samples().to_vec()),
+                    &Waveform::new(0.0, full.dt(), full.samples().to_vec()),
+                );
+                assert_bitwise_prefix(&cut.render(&short).unwrap(), &full.render(&cfg).unwrap());
+                assert_bitwise_prefix(&net.edge_response(&short), &net.edge_response(&cfg));
+            }
+        }
+    }
+
+    #[test]
+    fn covering_falls_back_to_the_full_run() {
+        let line = paper_line(256, 4);
+        let cfg = SimConfig::default();
+        let full = cfg.ticks_for(&line);
+        // The horizon reaches the end of the run.
+        assert_eq!(cfg.covering(&line, full), cfg);
+        assert_eq!(cfg.covering(&line, full + 100), cfg);
+        // The edge only approaches its tail.
+        let exponential = SimConfig {
+            shape: EdgeShape::Exponential,
+            ..cfg
+        };
+        assert_eq!(exponential.covering(&line, 500), exponential);
+        // The edge is still rising at the covering run's last tick.
+        let slow = SimConfig {
+            rise_time: Seconds(line.tick().0 * 400.0),
+            ..cfg
+        };
+        assert_eq!(slow.covering(&line, 300), slow);
+        // The edge settles only past the direct render's transient.
+        let slower = SimConfig {
+            rise_time: Seconds(line.tick().0 * (DIRECT_RENDER_MAX_TRANSIENT as f64 + 10.0)),
+            ..cfg
+        };
+        assert_eq!(slower.covering(&line, 900), slower);
+        assert_ne!(cfg.covering(&line, 900), cfg);
     }
 
     #[test]

@@ -76,13 +76,20 @@ bench-cohort-intake:
 fleet-top-demo:
     cargo run --release -p divot-bench --bin fleet_top
 
-# Regenerate every paper figure/claim output into results/.
+# Run all 15 paper figure binaries in full mode (about 2.5 minutes on 2
+# vCPUs). Every binary runs even after a failure; the recipe exits
+# nonzero if any binary did, which includes any MISSED claim row.
 figures:
-    for b in fig7_authentication fig8_temperature fig9_load_modification \
-             fig9_wiretap fig9_magnetic_probe env_robustness \
-             detection_latency resource_utilization spoof_resistance; do \
-        cargo run --release -p divot-bench --bin $b; \
+    #!/usr/bin/env bash
+    status=0
+    for b in ablation_design calibrate detection_latency env_robustness \
+             fig7_authentication fig8_temperature fig9_load_modification \
+             fig9_magnetic_probe fig9_wiretap iolink_protection \
+             membus_policies membus_protection multiwire_ablation \
+             resource_utilization spoof_resistance; do
+        cargo run --release -q -p divot-bench --bin "$b" || { echo "FAILED: $b"; status=1; }
     done
+    exit "$status"
 
 # Telemetry demo: quick fig-7 run writing a JSONL event log and printing
 # the metric registry at exit (signal catalog: ARCHITECTURE.md).
